@@ -34,12 +34,6 @@ SHARED_PREFIX = "shared_attn"
 
 
 @dataclass
-class HighlightScores:
-    h: Tensor
-    h_bar: Tensor
-
-
-@dataclass
 class DecoderOutput:
     """Differentiable decoder products: normalized spans and foreground scores."""
 

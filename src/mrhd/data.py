@@ -4,8 +4,8 @@ A sample couples one natural-language query with one video. The video is
 pre-chunked into L equal clips of ``clip_len`` seconds; per-clip visual
 (and optionally audio) feature vectors plus per-token text feature
 vectors live in sidecar binary files. Ground truth is a set of relevant
-time windows and, per clip, a short list of annotator ratings on a 0..4
-scale (-1 marks unannotated clips).
+time windows and, per clip, one rating per annotator on a 0..4 scale
+(-1 marks an unannotated entry); every clip lists the same annotators.
 
 The synthetic generator plants one window per sample and correlates the
 inside-window clip features with the query centroid through a fixed
@@ -143,7 +143,13 @@ def _validate_sample(s: QuerySample, where: str) -> None:
         raise ValidationError(
             f"{where}: saliency length {len(s.saliency)} != expected L={expected_l}"
         )
-    for ratings in s.saliency:
+    annotators = len(s.saliency[0])
+    for clip, ratings in enumerate(s.saliency):
+        if len(ratings) < 1 or len(ratings) != annotators:
+            raise ValidationError(
+                f"{where}: qid {s.qid} clip {clip} has {len(ratings)} ratings; every clip needs"
+                f" the same number of ratings, at least one (clip 0 has {annotators})"
+            )
         for r in ratings:
             if r not in (-1, 0, 1, 2, 3, 4):
                 raise ValidationError(f"{where}: rating {r} outside -1..4")

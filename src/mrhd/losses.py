@@ -185,17 +185,19 @@ def span_cost_and_loss(
     gt_cw = windows_to_center_width(gt_windows, duration)
     cw = decoded.center_width.data
     scores = decoded.scores.data
-    m, g = cw.shape[0], gt_cw.shape[0]
+    m = cw.shape[0]
 
-    cost = np.zeros((m, g))
-    for i in range(m):
-        for j in range(g):
-            l1 = np.abs(cw[i] - gt_cw[j]).sum()
-            giou = _giou_scalar(
-                cw[i, 0] - cw[i, 1] / 2, cw[i, 0] + cw[i, 1] / 2,
-                gt_cw[j, 0] - gt_cw[j, 1] / 2, gt_cw[j, 0] + gt_cw[j, 1] / 2,
-            )
-            cost[i, j] = weights.l1 * l1 + weights.giou * (1.0 - giou) - weights.cls * scores[i]
+    # (M, 1) predictions against (1, G) ground truths
+    c1, w1 = cw[:, 0:1], cw[:, 1:2]
+    c2, w2 = gt_cw[None, :, 0], gt_cw[None, :, 1]
+    l1 = np.abs(c1 - c2) + np.abs(w1 - w2)
+    s1, e1 = c1 - w1 / 2, c1 + w1 / 2
+    s2, e2 = c2 - w2 / 2, c2 + w2 / 2
+    inter = np.maximum(0.0, np.minimum(e1, e2) - np.maximum(s1, s2))
+    union = (e1 - s1) + (e2 - s2) - inter
+    hull = np.maximum(e1, e2) - np.minimum(s1, s2)
+    giou = inter / union - (hull - union) / hull
+    cost = weights.l1 * l1 + weights.giou * (1.0 - giou) - weights.cls * scores[:, None]
 
     match = hungarian_match(cost)
     pred_order = [p for p, _ in match.pairs]
@@ -224,13 +226,6 @@ def span_cost_and_loss(
     return cost, match, mom
 
 
-def _giou_scalar(s1: float, e1: float, s2: float, e2: float) -> float:
-    inter = max(0.0, min(e1, e2) - max(s1, s2))
-    union = (e1 - s1) + (e2 - s2) - inter
-    hull = max(e1, e2) - min(s1, s2)
-    return inter / union - (hull - union) / hull
-
-
 # ---------------------------------------------------------------------------
 # highlight loss
 
@@ -238,29 +233,27 @@ def _giou_scalar(s1: float, e1: float, s2: float, e2: float) -> float:
 def rating_means(sample: QuerySample) -> np.ndarray:
     """Per-clip mean over annotators, ignoring -1 entries; NaN when a clip
     has no annotations at all."""
-    means = np.full(sample.num_clips, np.nan)
-    for i, ratings in enumerate(sample.saliency):
-        vals = [r for r in ratings if r >= 0]
-        if vals:
-            means[i] = float(np.mean(vals))
+    ratings = np.asarray(sample.saliency, dtype=np.float64)  # (L, A)
+    rated = ratings >= 0
+    counts = rated.sum(axis=1)
+    means = np.full(len(ratings), np.nan)
+    np.divide(np.where(rated, ratings, 0.0).sum(axis=1), counts, out=means, where=counts > 0)
     return means
 
 
 def saliency_pairs(sample: QuerySample, seed: int, max_pairs: int = 16) -> list[tuple[int, int]]:
     """(high, low) clip index pairs with mean-rating gap >= 1, capped by
-    seeded sampling."""
+    seeded sampling. Pairs come in row-major (high, low) order, which the
+    seeded subset indexes into."""
     means = rating_means(sample)
-    pairs = [
-        (i, j)
-        for i in range(len(means))
-        for j in range(len(means))
-        if not np.isnan(means[i]) and not np.isnan(means[j]) and means[i] - means[j] >= 1.0
-    ]
-    if len(pairs) > max_pairs:
+    valid = ~np.isnan(means)
+    mask = valid[:, None] & valid[None, :] & (means[:, None] - means[None, :] >= 1.0)
+    high, low = np.nonzero(mask)
+    if high.size > max_pairs:
         rng = np.random.default_rng([seed, sample.qid])
-        keep = rng.choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[k] for k in sorted(keep)]
-    return pairs
+        keep = np.sort(rng.choice(high.size, size=max_pairs, replace=False))
+        high, low = high[keep], low[keep]
+    return list(zip(high.tolist(), low.tolist()))
 
 
 def saliency_loss(

@@ -5,6 +5,10 @@ below: a numpy float64 buffer plus a dynamically recorded graph. Each
 kernel stores its parent tensors and a closure that maps the output
 gradient to input gradients; ``backward()`` on a scalar loss replays the
 closures in reverse topological order and accumulates into ``.grad``.
+Kernels hand their fresh output buffer to ``_record``, which wraps it as
+it is (only the numpy scalars that 0-d results come back as are converted
+to arrays) and attaches parents and closure only when some parent
+requires grad.
 
 The kernel set is deliberately small: 2-D matmul, same-shape elementwise
 arithmetic, scalar affine ops, a few nonlinearities, axis reductions,
@@ -68,20 +72,21 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
         topo: list[Tensor] = []
-        seen: set[int] = set()
+        seen: set[Tensor] = set()  # tensors hash by identity
         stack: list[tuple[Tensor, bool]] = [(self, False)]
+        push, pop, visit, emit = stack.append, stack.pop, seen.add, topo.append
         while stack:  # iterative DFS; GRU chains can exceed the recursion limit
-            node, expanded = stack.pop()
+            node, expanded = pop()
             if expanded:
-                topo.append(node)
+                emit(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
-            stack.append((node, True))
+            visit(node)
+            push((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
+                if parent not in seen:
+                    push((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
@@ -134,16 +139,37 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # The first contribution is copied, never aliased: ``g`` may be
+        # another node's gradient or a view that later ``+=`` must not
+        # write through. The copy is C-ordered whatever ``g``'s layout (a
+        # ``g.T`` is Fortran-ordered): a gradient that keeps a transposed
+        # layout sends the matmuls that later read it down another BLAS
+        # kernel, whose different summation order changes the trained
+        # weights in the last bits.
+        t.grad = np.array(g, dtype=np.float64, order="C")
+    else:
+        t.grad += g
 
 
 def _record(out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    out = Tensor(out_data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+    if not (
+        type(out_data) is np.ndarray
+        and out_data.dtype == np.float64
+        and out_data.flags.c_contiguous
+    ):
+        out_data = _as_array(out_data)  # numpy scalars from 0-d results
+    out = Tensor.__new__(Tensor)
+    out.data = out_data
+    out.grad = None
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward
+            break
     return out
 
 
@@ -325,14 +351,14 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     if axis is None:
         def backward(g):
-            _accumulate(x, np.broadcast_to(g, x.shape).copy())
+            _accumulate(x, np.broadcast_to(g, x.shape))
 
         return _record(np.sum(x.data), (x,), backward)
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"sum axis {axis} invalid for shape {x.shape}")
 
     def backward_axis(g):
-        _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.shape).copy())
+        _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.shape))
 
     return _record(np.sum(x.data, axis=axis), (x,), backward_axis)
 
@@ -342,7 +368,7 @@ def tmean(x: Tensor, axis: int | None = None) -> Tensor:
         n = x.data.size
 
         def backward(g):
-            _accumulate(x, np.broadcast_to(g / n, x.shape).copy())
+            _accumulate(x, np.broadcast_to(g / n, x.shape))
 
         return _record(np.mean(x.data), (x,), backward)
     if not -x.ndim <= axis < x.ndim:
@@ -350,7 +376,7 @@ def tmean(x: Tensor, axis: int | None = None) -> Tensor:
     n = x.shape[axis]
 
     def backward_axis(g):
-        _accumulate(x, np.broadcast_to(np.expand_dims(g / n, axis), x.shape).copy())
+        _accumulate(x, np.broadcast_to(np.expand_dims(g / n, axis), x.shape))
 
     return _record(np.mean(x.data, axis=axis), (x,), backward_axis)
 
@@ -442,7 +468,7 @@ def broadcast_rows(v: Tensor, n: int) -> Tensor:
     def backward(g):
         _accumulate(v, g.sum(axis=0))
 
-    return _record(np.tile(v.data, (n, 1)), (v,), backward)
+    return _record(np.repeat(v.data[None, :], n, axis=0), (v,), backward)
 
 
 def broadcast_cols(v: Tensor, m: int) -> Tensor:

@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import struct
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -522,6 +523,8 @@ def evaluate_checkpoint(ckpt: Checkpoint, dataset: Dataset) -> metrics.EvalRepor
 
 
 def evaluate_predictions(records: list[dict], dataset: Dataset) -> metrics.EvalReport:
+    """Score exactly one record per dataset query; a partial or repeated
+    record list would report metrics over some other query set."""
     by_qid = {sample.qid: sample for sample, _ in dataset.samples}
     results = []
     for rec in records:
@@ -530,6 +533,14 @@ def evaluate_predictions(records: list[dict], dataset: Dataset) -> metrics.EvalR
         sample = by_qid[rec["qid"]]
         spans = [tuple(w) for w in rec["pred_relevant_windows"]]
         results.append((sample, spans, list(rec["pred_saliency_scores"])))
+    counts = Counter(rec["qid"] for rec in records)
+    missing = sorted(by_qid.keys() - counts.keys())
+    duplicated = sorted(qid for qid, n in counts.items() if n > 1)
+    if missing or duplicated:
+        raise ConfigError(
+            f"predictions must cover every dataset qid once: missing qids {missing},"
+            f" duplicated qids {duplicated}"
+        )
     return metrics.evaluate(results)
 
 

@@ -106,6 +106,21 @@ def test_eval_missing_checkpoint_exits_one(tiny_dir, tmp_path):
                      "--data", str(data_dir)]) == 1
 
 
+def test_eval_uneven_annotator_counts_exits_one(tiny_dir, tmp_path, caplog):
+    """One clip with a rating fewer than the rest is refused at load time,
+    naming the query and the clip, instead of crashing the HD metrics."""
+    data_dir, train_cfg = tiny_dir
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--config", str(train_cfg), "--data", str(data_dir),
+                     "--out", str(ckpt)]) == 0
+    ann = data_dir / "annotations.jsonl"
+    recs = [json.loads(line) for line in ann.read_text().splitlines()]
+    recs[1]["saliency_scores"][2].pop()
+    ann.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir)]) == 1
+    assert f"qid {recs[1]['qid']} clip 2 has 2 ratings" in caplog.text
+
+
 def test_train_missing_data_exits_one(tmp_path):
     assert cli.main(["train", "--data", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "m.ckpt")]) == 1

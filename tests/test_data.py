@@ -135,6 +135,31 @@ def test_validation_wrong_saliency_length(tmp_path):
         load_dataset(p, tmp_path)
 
 
+@pytest.mark.parametrize(
+    "ratings, clip, count",
+    [
+        ([[0], [], [0], [0]], 1, 0),
+        ([[], [], [], []], 0, 0),
+        ([[0, 1], [0, 1], [0, 1], [0]], 3, 1),
+        ([[0], [0, 1], [0], [0]], 1, 2),
+    ],
+)
+def test_validation_requires_equal_annotator_counts(tmp_path, ratings, clip, count):
+    p = tmp_path / "ann.jsonl"
+    rec = {
+        "qid": 3,
+        "vid": "v",
+        "query": "q",
+        "duration": 8.0,
+        "clip_len": 2.0,
+        "relevant_windows": [[0.0, 2.0]],
+        "saliency_scores": ratings,
+    }
+    p.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(ValidationError, match=f"qid 3 clip {clip} has {count} ratings"):
+        load_dataset(p, tmp_path)
+
+
 def test_validation_names_line_number(tmp_path):
     p = tmp_path / "ann.jsonl"
     good = {

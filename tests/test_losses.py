@@ -180,6 +180,50 @@ def test_span_loss_unmatched_preds_pushed_to_background():
     assert grads[other] > 0  # push unmatched score down
 
 
+def _loop_span_cost(cw, scores, gt_cw, weights):
+    """The per-pair cost as a double loop over scalars: the reference the
+    broadcast cost must equal bit for bit."""
+
+    def giou(s1, e1, s2, e2):
+        inter = max(0.0, min(e1, e2) - max(s1, s2))
+        union = (e1 - s1) + (e2 - s2) - inter
+        hull = max(e1, e2) - min(s1, s2)
+        return inter / union - (hull - union) / hull
+
+    cost = np.zeros((cw.shape[0], gt_cw.shape[0]))
+    for i in range(cw.shape[0]):
+        for j in range(gt_cw.shape[0]):
+            l1 = np.abs(cw[i] - gt_cw[j]).sum()
+            g = giou(
+                cw[i, 0] - cw[i, 1] / 2, cw[i, 0] + cw[i, 1] / 2,
+                gt_cw[j, 0] - gt_cw[j, 1] / 2, gt_cw[j, 0] + gt_cw[j, 1] / 2,
+            )
+            cost[i, j] = weights.l1 * l1 + weights.giou * (1.0 - g) - weights.cls * scores[i]
+    return cost
+
+
+@pytest.mark.parametrize("num_pred, windows", [
+    (1, [(10.0, 30.0)]),
+    (5, [(0.0, 40.0)]),
+    (10, [(5.0, 15.0), (20.0, 35.0)]),
+    (10, [(0.0, 2.0), (2.0, 4.0), (30.0, 40.0)]),
+])
+def test_span_cost_equals_double_loop(num_pred, windows):
+    duration = 40.0
+    rng = np.random.default_rng(num_pred + len(windows))
+    weights = LS.LossWeights(l1=10.0, giou=1.0, cls=4.0)
+    gt_cw = LS.windows_to_center_width(windows, duration)
+    for trial in range(5):
+        cw = 1.0 / (1.0 + np.exp(-2.0 * rng.standard_normal((num_pred, 2))))
+        if trial == 0:  # exact overlaps, shared edges and ties between predictions
+            cw[:] = gt_cw[rng.integers(len(windows), size=num_pred)]
+        scores = rng.uniform(0.0, 1.0, size=num_pred)
+        cost, _, _ = LS.span_cost_and_loss(_decoder_out(cw, scores), windows, duration, weights)
+        want = _loop_span_cost(cw, scores, gt_cw, weights)
+        assert cost.shape == want.shape
+        assert (cost == want).all()
+
+
 def test_span_loss_gradients_match_finite_differences():
     gt = [(5.0, 15.0), (20.0, 35.0)]
     duration = 40.0
@@ -264,6 +308,50 @@ def test_saliency_pair_cap_is_seeded():
     c = LS.saliency_pairs(sample, seed=4)
     assert len(a) == 16 and a == b
     assert a != c
+
+
+def _comprehension_pairs(sample, seed, max_pairs=16):
+    """Pair sampling as a comprehension over all L x L clip pairs with a
+    per-clip mean: the reference the vectorised version must equal."""
+    means = np.full(sample.num_clips, np.nan)
+    for i, ratings in enumerate(sample.saliency):
+        vals = [r for r in ratings if r >= 0]
+        if vals:
+            means[i] = float(np.mean(vals))
+    pairs = [
+        (i, j)
+        for i in range(len(means))
+        for j in range(len(means))
+        if not np.isnan(means[i]) and not np.isnan(means[j]) and means[i] - means[j] >= 1.0
+    ]
+    if len(pairs) > max_pairs:
+        rng = np.random.default_rng([seed, sample.qid])
+        keep = rng.choice(len(pairs), size=max_pairs, replace=False)
+        pairs = [pairs[k] for k in sorted(keep)]
+    return means, pairs
+
+
+@pytest.mark.parametrize("num_clips", [1, 2, 16, 45, 75])
+def test_saliency_pairs_equal_comprehension(num_clips):
+    rng = np.random.default_rng(num_clips)
+    sizes = set()
+    for trial in range(12):
+        annotators = int(rng.integers(1, 4))
+        # few distinct levels give ties; -1 gives partly and wholly unannotated clips
+        levels = [-1, 0, 4] if trial % 3 == 0 else [-1, 0, 1, 2, 3, 4]
+        ratings = rng.choice(levels, size=(num_clips, annotators))
+        if trial % 2:  # all but about four clips unannotated: under the cap
+            ratings[rng.random(num_clips) >= 4.0 / num_clips] = -1
+        sample = _sample_with_ratings(ratings.tolist())
+        for seed in (0, 1, 17):
+            means, want = _comprehension_pairs(sample, seed)
+            got = LS.saliency_pairs(sample, seed)
+            assert got == want
+            assert all(type(i) is int and type(j) is int for i, j in got)
+            np.testing.assert_array_equal(LS.rating_means(sample), means)
+        sizes.add(len(_comprehension_pairs(sample, 0, max_pairs=num_clips**2)[1]))
+    assert min(sizes) < 16
+    assert max(sizes) > 16 or num_clips < 16
 
 
 def test_saliency_nonnegative_property():

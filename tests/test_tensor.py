@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from mrhd import tensor as T
+from mrhd import trainer
+from mrhd.data import Dataset, SynthConfig, synth_generate
 from mrhd.gradcheck import check_gradients, kernel_suite
 from mrhd.tensor import ContractError, ShapeError, Tensor
 
@@ -117,3 +119,57 @@ def test_layer_norm_affine_params_receive_grads():
     T.tsum(T.layer_norm(x, g, b)).backward()
     assert x.grad is not None and g.grad is not None and b.grad is not None
     assert np.allclose(b.grad, 4.0)  # bias grad of a plain sum is the row count
+
+
+def _zeros_then_add(t, g):
+    """Gradient accumulation as a zero buffer plus every contribution: the
+    reference the copy-on-first-contribution engine must equal."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad += g
+
+
+def _tiny_batch_backward():
+    """One train-mode forward and backward over a two-video batch with
+    different clip counts. Returns the params and the batch loss node."""
+    ds = Dataset(
+        samples=synth_generate(SynthConfig(num_samples=1, num_clips=7, d_v=10, d_t=6), 1).samples
+        + synth_generate(SynthConfig(num_samples=1, num_clips=12, d_v=10, d_t=6), 2).samples
+    )
+    config = trainer.TrainConfig(seed=0, d=8, num_queries=3, decoder_layers=2, heads=2)
+    params = trainer.init_model(np.random.default_rng(0), 10, 6, config)
+    parts = [trainer.forward(s, b, params, config, "train").parts for s, b in ds.samples]
+    total, _ = trainer.batch_total(parts, config)
+    total.backward()
+    return params, total
+
+
+def test_train_step_grads_bit_identical_to_zero_buffer_accumulation(monkeypatch):
+    params, _ = _tiny_batch_backward()
+    with monkeypatch.context() as m:
+        m.setattr(T, "_accumulate", _zeros_then_add)
+        reference, _ = _tiny_batch_backward()
+    assert params.keys() == reference.keys()
+    for name in params:
+        got, want = params[name].grad, reference[name].grad
+        assert got is not None and want is not None, name
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def test_every_grad_is_c_contiguous_float64_of_its_shape():
+    _, total = _tiny_batch_backward()
+    stack, seen, checked = [total], set(), 0
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.extend(node._parents)
+        if node.grad is not None:
+            g = node.grad
+            assert type(g) is np.ndarray and g.dtype == np.float64
+            assert g.flags.c_contiguous and g.shape == node.shape
+            checked += 1
+    assert checked > 100

@@ -382,6 +382,26 @@ def test_predict_file_round_trip_matches_memory(tiny_data, trained, tmp_path):
     assert from_file == in_memory
 
 
+@pytest.mark.parametrize(
+    "pick, error",
+    [
+        (lambda recs: recs[::-1], None),
+        (lambda recs: recs[:2], r"missing qids \[2, 3\], duplicated qids \[\]"),
+        (lambda recs: recs[:1] * 4, r"missing qids \[1, 2, 3\], duplicated qids \[0\]"),
+        (lambda recs: recs + recs[3:], r"missing qids \[\], duplicated qids \[3\]"),
+    ],
+)
+def test_evaluate_predictions_needs_every_qid_once(tiny_data, trained, pick, error):
+    records = trainer.predict(trained, tiny_data)
+    assert [rec["qid"] for rec in records] == [0, 1, 2, 3]
+    if error is None:
+        report = trainer.evaluate_predictions(pick(records), tiny_data)
+        assert report == trainer.evaluate_predictions(records, tiny_data)
+    else:
+        with pytest.raises(ConfigError, match=error):
+            trainer.evaluate_predictions(pick(records), tiny_data)
+
+
 def test_predict_rejects_dim_mismatch(trained):
     other = synth_generate(SynthConfig(num_samples=1, num_clips=8, d_v=9, d_t=10), 0)
     with pytest.raises(ConfigError, match="dims"):
