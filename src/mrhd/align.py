@@ -8,8 +8,7 @@ three-layer MLPs. Two regularizers then pull the spaces together:
   clip-level relevance labels, and
 * a global one, a batch-wise contrastive term over mean-pooled clip and
   word features whose denominator sums over every pair in the batch
-  (kept exactly as formulated; an optional temperature, default 1,
-  leaves it untouched).
+  (kept exactly as formulated, with no temperature).
 
 Parameter dictionaries are flat ``dict[str, Tensor]`` maps; the helpers
 here (``init_linear``/``linear`` and friends) establish the naming
@@ -158,7 +157,7 @@ def pooled_globals(p: ProjectedFeatures) -> tuple[Tensor, Tensor]:
     )
 
 
-def global_loss(v_globals: Tensor, t_globals: Tensor, temperature: float = 1.0) -> Tensor:
+def global_loss(v_globals: Tensor, t_globals: Tensor) -> Tensor:
     """Batch contrastive loss with the full B x B sum in the denominator.
 
     loss = logsumexp(all pairwise dots) - mean(diagonal dots). The max is
@@ -171,8 +170,6 @@ def global_loss(v_globals: Tensor, t_globals: Tensor, temperature: float = 1.0) 
         )
     b = v_globals.shape[0]
     sims = T.matmul(v_globals, T.transpose(t_globals))
-    if temperature != 1.0:
-        sims = T.scale(sims, 1.0 / temperature)
     shift = float(np.max(sims.data))
     lse = T.add_scalar(T.log(T.tsum(T.exp(T.add_scalar(sims, -shift)))), shift)
     diag_mean = T.scale(T.tsum(T.mul(sims, Tensor(np.eye(b)))), 1.0 / b)

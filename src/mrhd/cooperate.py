@@ -27,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .align import apply_layer_norm, init_layer_norm, init_linear, linear, row_norms
-from .refine import JointFeatures, init_attention, multi_head_attention
+from .refine import init_attention, multi_head_attention
 from .tensor import ContractError, Tensor
 
 SHARED_PREFIX = "shared_attn"
@@ -105,21 +105,21 @@ def transformer_block(
 # highlight head and forward hand-off
 
 
-def highlight_head(joint: JointFeatures, params: dict, heads: int) -> Tensor:
+def highlight_head(joint: Tensor, params: dict, heads: int) -> Tensor:
     """Clip scores: shared self-attention block, then a linear map to one
     logit per clip."""
-    encoded = transformer_block(joint.z, params, SHARED_PREFIX, heads)
+    encoded = transformer_block(joint, params, SHARED_PREFIX, heads)
     length = encoded.shape[0]
     return T.reshape(linear(encoded, params, "highlight"), (length,))
 
 
-def hd2mr(joint: JointFeatures, h: Tensor, params: dict, heads: int) -> Tensor:
+def hd2mr(joint: Tensor, h: Tensor, params: dict, heads: int) -> Tensor:
     """Enhance joint features with softmaxed highlight scores, then re-encode
     with the same shared block the highlight head used."""
-    length, d = joint.z.shape
+    length, d = joint.shape
     weights = T.softmax(h, axis=0)
-    scaled = T.mul(joint.z, T.broadcast_cols(weights, d))
-    return transformer_block(T.add(joint.z, scaled), params, SHARED_PREFIX, heads)
+    scaled = T.mul(joint, T.broadcast_cols(weights, d))
+    return transformer_block(T.add(joint, scaled), params, SHARED_PREFIX, heads)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def span_to_clip_range(start: float, end: float, clip_len: float, num_clips: int
 
 def mr2hd(
     v_hat: Tensor,
-    joint: JointFeatures,
+    joint: Tensor,
     z_hat: Tensor,
     top_span: tuple[float, float],
     clip_len: float,
@@ -208,5 +208,5 @@ def mr2hd(
     s_ref = T.div(dots, norm_prod)
     weights = T.softmax(s_ref, axis=0)
     reweighted = T.mul(z_hat, T.broadcast_cols(weights, d))
-    refined = linear(T.add(joint.z, reweighted), params, "refine_out")
+    refined = linear(T.add(joint, reweighted), params, "refine_out")
     return T.reshape(refined, (length,))

@@ -8,9 +8,7 @@ cross-attention layer from the fused clips into the words to produce the
 joint per-clip features consumed by the downstream heads.
 
 The cross-attention output keeps a residual connection from its input
-plus a layer-norm by default so per-clip identity survives the text
-mixing; ``raw_attention=True`` disables both and yields the bare
-attention mixture.
+plus a layer-norm, so per-clip identity survives the text mixing.
 
 This module also hosts the generic multi-head attention helper and
 sinusoidal position table used elsewhere in the model.
@@ -35,11 +33,6 @@ class CrossSimilarity:
     a: Tensor
     a_row: Tensor
     a_col: Tensor
-
-
-@dataclass
-class JointFeatures:
-    z: Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +111,12 @@ def fuse(p: ProjectedFeatures, f_v2q: Tensor, f_q2v: Tensor, params: dict) -> Te
     return linear(stacked, params, "fuse")
 
 
-def cross_attention_fusion(
-    f_v_bar: Tensor, t_hat: Tensor, params: dict, raw_attention: bool = False
-) -> JointFeatures:
-    """Single-head cross-attention from refined clips into words.
+def cross_attention_fusion(f_v_bar: Tensor, t_hat: Tensor, params: dict) -> Tensor:
+    """Single-head cross-attention from refined clips into words: the joint
+    per-clip features.
 
-    Query comes from the clips, key/value from the words. By default the
-    input is added back and layer-normed; ``raw_attention`` returns the
-    plain attention mixture instead.
+    Query comes from the clips, key/value from the words. The input is
+    added back to the attention mixture and the sum is layer-normed.
     """
     d = f_v_bar.shape[1]
     q = linear(f_v_bar, params, "zattn.q")
@@ -133,9 +124,7 @@ def cross_attention_fusion(
     v = linear(t_hat, params, "zattn.v")
     weights = T.softmax(T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d)), axis=1)
     mixed = T.matmul(weights, v)
-    if raw_attention:
-        return JointFeatures(z=mixed)
-    return JointFeatures(z=apply_layer_norm(T.add(f_v_bar, mixed), params, "zattn.ln"))
+    return apply_layer_norm(T.add(f_v_bar, mixed), params, "zattn.ln")
 
 
 # ---------------------------------------------------------------------------

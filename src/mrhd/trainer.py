@@ -14,22 +14,23 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import struct
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
 from . import align, cooperate, losses, metrics, refine
 from . import tensor as T
-from .data import ConfigError, Dataset, FeatureBundle, QuerySample, clip_labels, load_dataset
+from .data import ConfigError, Dataset, FeatureBundle, QuerySample, clip_labels
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
 
 GRAD_CLIP_NORM = 0.1
 _CKPT_MAGIC = b"MRHDCKP1"
+_ARRAY_KINDS = ("param", "adam_m", "adam_v")
 
 
 class CheckpointFormatError(ValueError):
@@ -44,13 +45,38 @@ class TrainingDivergedError(RuntimeError):
 # configuration
 
 
+def _typed_fields(cls, raw, what: str) -> dict:
+    """``raw``'s entries as keyword arguments for the dataclass ``cls``.
+
+    Every name must be a field, and every value of the type of that field's
+    default: a bool is not an int, an int is taken for a float field (JSON
+    writes 1.0 as 1), and a dict for a dataclass field is checked the same
+    way and built.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {raw!r}")
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+    defaults = cls()
+    out = {}
+    for name, value in raw.items():
+        want = type(getattr(defaults, name))
+        if is_dataclass(want) and isinstance(value, dict):
+            value = want(**_typed_fields(want, value, name))
+        elif want is float and type(value) is int:
+            value = float(value)
+        if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
+            raise ConfigError(
+                f"{what} field {name!r} must be {want.__name__}, got {value!r}"
+            )
+        out[name] = value
+    return out
+
+
 @dataclass
 class TrainConfig:
-    """Everything a training run needs, JSON round-trippable.
-
-    ``raw_fusion_attention`` switches the fusion stage to emit the plain
-    attention mixture with no residual or normalization, for ablations.
-    """
+    """Everything a training run needs, JSON round-trippable."""
 
     seed: int = 0
     batch_size: int = 32
@@ -62,9 +88,6 @@ class TrainConfig:
     decoder_layers: int = 2
     heads: int = 4
     weights: losses.LossWeights = field(default_factory=losses.LossWeights)
-    data_dir: str | None = None
-    raw_fusion_attention: bool = False
-    temperature: float = 1.0
 
     def validate(self) -> None:
         if self.batch_size < 1:
@@ -83,28 +106,13 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "weights" in d:
-            try:
-                d["weights"] = losses.LossWeights(**d["weights"])
-            except TypeError as e:
-                raise ConfigError(f"bad loss weights: {e}") from None
-        try:
-            cfg = cls(**d)
-        except TypeError as e:
-            raise ConfigError(f"bad config: {e}") from None
+        cfg = cls(**_typed_fields(cls, d, "config"))
         cfg.validate()
         return cfg
 
@@ -164,9 +172,7 @@ class SampleLosses:
 @dataclass
 class ForwardResult:
     prediction: cooperate.MomentPrediction
-    total: Tensor | None = None
-    breakdown: losses.LossBreakdown | None = None
-    parts: SampleLosses | None = None
+    parts: SampleLosses | None = None  # train mode only
 
 
 def forward(
@@ -179,11 +185,12 @@ def forward(
 ) -> ForwardResult:
     """One sample through the whole pipeline.
 
-    Train mode returns the loss graph alongside the prediction; infer mode
-    skips losses entirely. Reported highlight scores are always the
-    moment-refined ones. ``saliency_seed`` picks the ranking-pair subset;
-    the training loop varies it per step so the 16-pair cap still covers
-    every valid pair over time.
+    Train mode returns the sample's loss pieces alongside the prediction,
+    for ``batch_total`` to assemble; infer mode skips losses entirely.
+    Reported highlight scores are always the moment-refined ones.
+    ``saliency_seed`` picks the ranking-pair subset; the training loop
+    varies it per step so the 16-pair cap still covers every valid pair
+    over time.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -195,9 +202,7 @@ def forward(
     sim = refine.cross_similarity(positioned, params)
     f_v2q, f_q2v = refine.bidirectional_attend(sim, positioned)
     f_v_bar = refine.fuse(positioned, f_v2q, f_q2v, params)
-    joint = refine.cross_attention_fusion(
-        f_v_bar, p.t_hat, params, raw_attention=config.raw_fusion_attention
-    )
+    joint = refine.cross_attention_fusion(f_v_bar, p.t_hat, params)
     h = cooperate.highlight_head(joint, params, config.heads)
     z_hat = cooperate.hd2mr(joint, h, params, config.heads)
     decoded = cooperate.moment_decoder(z_hat, params, config.heads, config.decoder_layers)
@@ -217,10 +222,8 @@ def forward(
     _, s_hat = align.local_similarity(p)
     local = align.local_loss(s_hat, clip_labels(sample))
     pooled_v, pooled_t = align.pooled_globals(p)
-    glob = align.global_loss(pooled_v, pooled_t, config.temperature)
-    total, breakdown = losses.total_loss(mom, high, local, glob, config.lambda_lg)
     parts = SampleLosses(mom=mom, high=high, local=local, pooled_v=pooled_v, pooled_t=pooled_t)
-    return ForwardResult(prediction=prediction, total=total, breakdown=breakdown, parts=parts)
+    return ForwardResult(prediction=prediction, parts=parts)
 
 
 def _mean_scalars(terms: list[Tensor]) -> Tensor:
@@ -233,13 +236,17 @@ def _mean_scalars(terms: list[Tensor]) -> Tensor:
 def batch_total(
     parts: list[SampleLosses], config: TrainConfig
 ) -> tuple[Tensor, losses.LossBreakdown]:
-    """Batch loss: per-sample means plus the batch-wide contrastive term."""
+    """Batch loss: per-sample means plus the batch-wide contrastive term.
+
+    The only place a total is assembled; a single sample's total is
+    ``batch_total([parts], config)``.
+    """
     mom = _mean_scalars([p.mom for p in parts])
     high = _mean_scalars([p.high for p in parts])
     local = _mean_scalars([p.local for p in parts])
     pooled_v = T.concat([p.pooled_v for p in parts], axis=0)
     pooled_t = T.concat([p.pooled_t for p in parts], axis=0)
-    glob = align.global_loss(pooled_v, pooled_t, config.temperature)
+    glob = align.global_loss(pooled_v, pooled_t)
     return losses.total_loss(mom, high, local, glob, config.lambda_lg)
 
 
@@ -365,43 +372,85 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    if len(raw) < len(_CKPT_MAGIC) + 8 or raw[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        raise CheckpointFormatError(f"{path}: not a checkpoint file")
-    off = len(_CKPT_MAGIC)
-    (hlen,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    if off + hlen > len(raw):
-        raise CheckpointFormatError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[off : off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointFormatError(f"{path}: bad header: {e}") from None
-    off += hlen
-    config = TrainConfig.from_dict(header["config"])
-    stores = {"param": {}, "adam_m": {}, "adam_v": {}}
+def _param_names(config: TrainConfig) -> set[str]:
+    """Names of the params ``init_model`` makes for ``config``. They depend on
+    the layer counts, not on the widths, so a model of width ``heads`` and
+    one input feature per modality stands in for the real one."""
+    tiny = replace(config, d=config.heads)
+    return set(init_model(np.random.default_rng(0), 1, 1, tiny))
+
+
+def _check_header(header, path) -> None:
+    """Refuse a header whose keys, counts or array entries are not the ones
+    ``save_checkpoint`` writes, before any array is read."""
+    if not isinstance(header, dict):
+        raise CheckpointFormatError(f"{path}: header is not a JSON object")
+    missing = [k for k in ("config", "step", "adam_t", "arrays") if k not in header]
+    if missing:
+        raise CheckpointFormatError(f"{path}: header lacks {missing}")
+    for key in ("step", "adam_t"):
+        value = header[key]
+        if type(value) is not int or value < 0:
+            raise CheckpointFormatError(f"{path}: {key} must be a count, got {value!r}")
+    if not isinstance(header["arrays"], list):
+        raise CheckpointFormatError(f"{path}: arrays must be a list")
     for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if off + nbytes > len(raw):
-            raise CheckpointFormatError(f"{path}: truncated blob for {entry['name']}")
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape)
-        stores[entry["kind"]][entry["name"]] = arr.astype(np.float64)
-        off += nbytes
-    if off != len(raw):
-        raise CheckpointFormatError(f"{path}: {len(raw) - off} trailing bytes")
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in entry["shape"])
+        ):
+            raise CheckpointFormatError(f"{path}: bad array entry {entry!r}")
+        if entry.get("kind") not in _ARRAY_KINDS:
+            raise CheckpointFormatError(
+                f"{path}: array {entry['name']} has unknown kind {entry.get('kind')!r}"
+            )
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Read a ``save_checkpoint`` file. Each array is read from the file
+    into its own buffer, so a load holds the checkpoint once."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        off = len(_CKPT_MAGIC) + 8
+        head = fh.read(off)
+        if len(head) < off or head[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
+            raise CheckpointFormatError(f"{path}: not a checkpoint file")
+        (hlen,) = struct.unpack_from("<Q", head, len(_CKPT_MAGIC))
+        if off + hlen > size:
+            raise CheckpointFormatError(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise CheckpointFormatError(f"{path}: bad header: {e}") from None
+        off += hlen
+        _check_header(header, path)
+        config = TrainConfig.from_dict(header["config"])
+        stores = {kind: {} for kind in _ARRAY_KINDS}
+        for entry in header["arrays"]:
+            shape = tuple(entry["shape"])
+            count = math.prod(shape)
+            if off + 8 * count > size:
+                raise CheckpointFormatError(f"{path}: truncated blob for {entry['name']}")
+            arr = np.fromfile(fh, dtype="<f8", count=count)
+            stores[entry["kind"]][entry["name"]] = arr.reshape(shape)
+            off += 8 * count
+    if off != size:
+        raise CheckpointFormatError(f"{path}: {size - off} trailing bytes")
+    missing = _param_names(config) - stores["param"].keys()
+    if missing:
+        raise CheckpointFormatError(f"{path}: no arrays for params {sorted(missing)}")
     params = {
         name: Tensor(arr, requires_grad=True) for name, arr in stores["param"].items()
     }
     return Checkpoint(
         params=params,
         config=config,
-        step=int(header["step"]),
+        step=header["step"],
         adam_m=stores["adam_m"],
         adam_v=stores["adam_v"],
-        adam_t=int(header["adam_t"]),
+        adam_t=header["adam_t"],
     )
 
 
@@ -409,7 +458,7 @@ def load_checkpoint(path) -> Checkpoint:
 # training loop
 
 
-def train(config: TrainConfig, dataset: Dataset | None = None) -> Checkpoint:
+def train(config: TrainConfig, dataset: Dataset) -> Checkpoint:
     """Seeded full training run; deterministic for a fixed config.
 
     Each step clips the global gradient norm to ``GRAD_CLIP_NORM`` and
@@ -417,11 +466,6 @@ def train(config: TrainConfig, dataset: Dataset | None = None) -> Checkpoint:
     ``config.learning_rate`` and the run length, ``epochs`` x batches.
     """
     config.validate()
-    if dataset is None:
-        if config.data_dir is None:
-            raise ConfigError("no dataset given and config.data_dir is unset")
-        root = Path(config.data_dir)
-        dataset = load_dataset(root / "annotations.jsonl", root)
     if not dataset.samples:
         raise ConfigError("dataset is empty")
 
@@ -482,9 +526,12 @@ def _check_dims(ckpt: Checkpoint, dataset: Dataset) -> None:
 def predict(ckpt: Checkpoint, dataset: Dataset, out_path=None) -> list[dict]:
     """Emit one JSON record per query; also write JSON-Lines when asked."""
     _check_dims(ckpt, dataset)
+    # The same arrays as params that need no grad: the kernels then record
+    # no parents or backward closures, so inference builds no graph.
+    params = {name: Tensor(p.data) for name, p in ckpt.params.items()}
     records = []
     for sample, bundle in dataset.samples:
-        res = forward(sample, bundle, ckpt.params, ckpt.config, mode="infer")
+        res = forward(sample, bundle, params, ckpt.config, mode="infer")
         records.append(
             {
                 "qid": sample.qid,
@@ -551,7 +598,7 @@ def evaluate_predictions(records: list[dict], dataset: Dataset) -> metrics.EvalR
 def sweep_lambda(
     config: TrainConfig,
     values: list[float],
-    dataset: Dataset | None = None,
+    dataset: Dataset,
     eval_dataset: Dataset | None = None,
 ) -> list[dict]:
     """Train one model per alignment weight (same seed) and tabulate metrics.
@@ -567,12 +614,8 @@ def sweep_lambda(
     for v in values:
         cfg = replace(config, lambda_lg=float(v))
         ckpt = train(cfg, dataset)
-        train_ds = dataset
-        if train_ds is None:
-            root = Path(cfg.data_dir)
-            train_ds = load_dataset(root / "annotations.jsonl", root)
-        breakdown = dataset_breakdown(ckpt.params, cfg, train_ds)
-        report = evaluate_checkpoint(ckpt, eval_dataset if eval_dataset is not None else train_ds)
+        breakdown = dataset_breakdown(ckpt.params, cfg, dataset)
+        report = evaluate_checkpoint(ckpt, eval_dataset if eval_dataset is not None else dataset)
         rows.append(
             {
                 "lambda_lg": float(v),
@@ -625,11 +668,11 @@ def end_to_end_check(
     rng = np.random.default_rng(seed + 1)
     params = init_model(rng, d, d, config)
 
-    def total_value() -> float:
-        return forward(sample, bundle, params, config, "train").total.item()
+    def total() -> Tensor:
+        return batch_total([forward(sample, bundle, params, config, "train").parts], config)[0]
 
     zero_grad(params)
-    forward(sample, bundle, params, config, "train").total.backward()
+    total().backward()
     grads = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for k, p in params.items()}
 
     names = sorted(params)
@@ -640,9 +683,9 @@ def end_to_end_check(
         idx = int(rng.integers(flat.size))
         keep = flat[idx]
         flat[idx] = keep + h
-        up = total_value()
+        up = total().item()
         flat[idx] = keep - h
-        down = total_value()
+        down = total().item()
         flat[idx] = keep
         numeric = (up - down) / (2.0 * h)
         analytic = float(grads[name].reshape(-1)[idx])

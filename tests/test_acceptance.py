@@ -234,18 +234,18 @@ def test_criterion_5_total_decomposition():
         params = trainer.init_model(
             np.random.default_rng(seed + 100), *trainer.feature_dims(ds), config
         )
-        b = trainer.forward(*ds.samples[0], params, config, "train").breakdown
+        _, b = trainer.batch_total(
+            [trainer.forward(*ds.samples[0], params, config, "train").parts], config
+        )
         recomposed = b.mom + b.high + b.lambda_lg * (b.local + b.global_)
         worst = max(worst, abs(b.total - recomposed))
 
-        zero = trainer.forward(
-            *ds.samples[0],
-            params,
-            trainer.TrainConfig(
-                seed=seed, d=16, num_queries=3, decoder_layers=1, heads=2, lambda_lg=0.0
-            ),
-            "train",
-        ).breakdown
+        zero_config = trainer.TrainConfig(
+            seed=seed, d=16, num_queries=3, decoder_layers=1, heads=2, lambda_lg=0.0
+        )
+        _, zero = trainer.batch_total(
+            [trainer.forward(*ds.samples[0], params, zero_config, "train").parts], zero_config
+        )
         assert zero.total == zero.mom + zero.high
     print(f"criterion 5: worst decomposition gap {worst:.2e} (<1e-12), lambda=0 exact")
     assert worst < 1e-12

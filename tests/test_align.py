@@ -163,14 +163,6 @@ def test_global_loss_batch_permutation_invariant():
     assert abs(a - b) < 1e-12
 
 
-def test_global_loss_temperature_scales_dots():
-    rng = np.random.default_rng(2)
-    v, t = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
-    hot = align.global_loss(Tensor(v), Tensor(t), temperature=2.0).item()
-    manual = align.global_loss(Tensor(v / 2.0), Tensor(t)).item()
-    assert abs(hot - manual) < 1e-12
-
-
 def test_all_losses_reach_mlp_parameters():
     params = _params(d_vin=3, d_tin=3, d=4)
     bundle = _bundle(seed=4, L=3, N=2, d_vin=3, d_tin=3)

@@ -133,6 +133,50 @@ def test_corrupt_checkpoint_exits_one(tiny_dir, tmp_path):
     assert cli.main(["eval", "--ckpt", str(bad), "--data", str(data_dir)]) == 1
 
 
+def _edit_header(path, edit):
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen :])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda h: h.pop("config"), "header lacks ['config']"),
+        (lambda h: h.pop("step"), "header lacks ['step']"),
+        (lambda h: h.pop("adam_t"), "header lacks ['adam_t']"),
+        (lambda h: h.pop("arrays"), "header lacks ['arrays']"),
+        (lambda h: h.update(step="5"), "step must be a count, got '5'"),
+        (lambda h: h["arrays"][0].update(shape=[-1]), "bad array entry"),
+        (lambda h: h["arrays"][0].update(kind="adam_w"), "unknown kind 'adam_w'"),
+        # the first array is the first param by name; the model still needs it
+        (lambda h: h["arrays"][0].update(name="renamed"), "no arrays for params"),
+        # a checkpoint that stores a removed config option
+        (lambda h: h["config"].update(temperature=1.0), "unknown config fields: ['temperature']"),
+    ],
+)
+def test_malformed_checkpoint_header_exits_one(tiny_dir, tmp_path, caplog, edit, message):
+    data_dir, train_cfg = tiny_dir
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--config", str(train_cfg), "--data", str(data_dir),
+                     "--out", str(ckpt)]) == 0
+    _edit_header(ckpt, edit)
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir)]) == 1
+    assert message in caplog.text
+
+
+def test_config_field_of_wrong_type_exits_one(tiny_dir, tmp_path, caplog):
+    data_dir, _ = tiny_dir
+    cfg = tmp_path / "wrong.json"
+    cfg.write_text(json.dumps({**TINY_TRAIN, "epochs": "3"}))
+    assert cli.main(["train", "--config", str(cfg), "--data", str(data_dir),
+                     "--out", str(tmp_path / "m.ckpt")]) == 1
+    assert "config field 'epochs' must be int, got '3'" in caplog.text
+
+
 def test_internal_error_exits_two(tiny_dir, tmp_path, capsys):
     """Dims that differ across samples slip past loading and blow up inside."""
     data_dir, train_cfg = tiny_dir

@@ -6,7 +6,6 @@ import pytest
 from mrhd import cooperate as C
 from mrhd import tensor as T
 from mrhd.gradcheck import check_gradients
-from mrhd.refine import JointFeatures
 from mrhd.tensor import ContractError, Tensor
 
 D, HEADS, M, K = 4, 2, 3, 2
@@ -20,7 +19,7 @@ def _params(seed=0, d=D, num_queries=M, decoder_layers=K):
 
 def _joint(seed=0, L=5, d=D):
     rng = np.random.default_rng(seed)
-    return JointFeatures(z=Tensor(rng.standard_normal((L, d))))
+    return Tensor(rng.standard_normal((L, d)))
 
 
 def test_highlight_head_length():
@@ -58,7 +57,7 @@ def test_hd2mr_uniform_scores_reduce_to_scaled_input():
     h = Tensor(np.full(4, 2.5))
     got = C.hd2mr(joint, h, params, HEADS)
     manual = C.transformer_block(
-        T.scale(joint.z, 1.0 + 1.0 / 4.0), params, C.SHARED_PREFIX, HEADS
+        T.scale(joint, 1.0 + 1.0 / 4.0), params, C.SHARED_PREFIX, HEADS
     )
     assert np.allclose(got.data, manual.data, atol=1e-12)
 
@@ -70,12 +69,12 @@ def test_hd2mr_dominant_clip_survives():
     weights = np.exp(h.data - h.data.max())
     weights /= weights.sum()
     assert weights[1] > 1 - 1e-12
-    scaled = joint.z.data * weights[:, None]
+    scaled = joint.data * weights[:, None]
     assert np.allclose(scaled[0], 0.0, atol=1e-12)
-    assert np.allclose(scaled[1], joint.z.data[1], atol=1e-12)
+    assert np.allclose(scaled[1], joint.data[1], atol=1e-12)
     got = C.hd2mr(joint, h, params, HEADS)
     manual = C.transformer_block(
-        Tensor(joint.z.data + scaled), params, C.SHARED_PREFIX, HEADS
+        Tensor(joint.data + scaled), params, C.SHARED_PREFIX, HEADS
     )
     assert np.allclose(got.data, manual.data, atol=1e-10)
 
@@ -109,7 +108,7 @@ def test_shared_gradient_is_sum_of_call_site_gradients():
 
     def grad_of(loss_fn):
         for p in params.values():
-            p.zero_grad()
+            p.grad = None
         loss_fn().backward()
         return {n: (params[n].grad.copy() if params[n].grad is not None else 0.0) for n in names}
 
@@ -127,7 +126,7 @@ def test_shared_gradient_is_sum_of_call_site_gradients():
 
 def test_decoder_span_count_and_bounds():
     params = _params(seed=8)
-    z_hat = _joint(seed=8, L=6).z
+    z_hat = _joint(seed=8, L=6)
     out = C.moment_decoder(z_hat, params, HEADS, K)
     spans = C.decode_spans(out, duration=32.0)
     assert len(spans) == M
@@ -147,7 +146,7 @@ def test_decode_spans_arithmetic():
 
 def test_decoder_query_permutation_permutes_spans():
     params = _params(seed=9)
-    z_hat = _joint(seed=9, L=5).z
+    z_hat = _joint(seed=9, L=5)
     base = C.moment_decoder(z_hat, params, HEADS, K)
     perm = np.array([2, 0, 1])
     params["decoder.queries"].data[...] = params["decoder.queries"].data[perm]
@@ -209,7 +208,7 @@ def test_mr2hd_single_clip_span_is_one_gru_step():
     rng = np.random.default_rng(13)
     L = 4
     v_hat = Tensor(rng.standard_normal((L, D)))
-    joint = JointFeatures(z=Tensor(rng.standard_normal((L, D))))
+    joint = Tensor(rng.standard_normal((L, D)))
     z_hat = Tensor(rng.standard_normal((L, D)))
     got = C.mr2hd(v_hat, joint, z_hat, (0.0, 2.0), 2.0, params)
     assert got.shape == (L,)
@@ -224,7 +223,7 @@ def test_mr2hd_single_clip_span_is_one_gru_step():
     s_ref = dots[:, 0] / (nv * nh)
     w = np.exp(s_ref - s_ref.max())
     w /= w.sum()
-    refined_in = joint.z.data + z_hat.data * w[:, None]
+    refined_in = joint.data + z_hat.data * w[:, None]
     want = refined_in @ params["refine_out.w"].data + params["refine_out.b"].data
     assert np.allclose(got.data, want[:, 0], atol=1e-12)
 
@@ -243,7 +242,7 @@ def test_mr2hd_output_length_for_any_span():
     rng = np.random.default_rng(15)
     L = 6
     v_hat = Tensor(rng.standard_normal((L, D)))
-    joint = JointFeatures(z=Tensor(rng.standard_normal((L, D))))
+    joint = Tensor(rng.standard_normal((L, D)))
     z_hat = Tensor(rng.standard_normal((L, D)))
     for span in [(0.0, 12.0), (3.0, 5.0), (10.0, 12.0), (0.0, 0.5)]:
         out = C.mr2hd(v_hat, joint, z_hat, span, 2.0, params)
@@ -261,7 +260,7 @@ def test_mr2hd_full_path_gradient_to_v_hat():
 
     def build(ts):
         h_bar = C.mr2hd(
-            ts[0], JointFeatures(z=Tensor(joint_z)), Tensor(z_hat), (0.0, 4.0), 2.0, params
+            ts[0], Tensor(joint_z), Tensor(z_hat), (0.0, 4.0), 2.0, params
         )
         return T.tsum(T.mul(h_bar, Tensor(r)))
 

@@ -140,34 +140,33 @@ def test_fuse_gradient_to_linear():
     assert check_gradients(build, arrays) < 1e-4
 
 
+def _layer_norm(x, params, eps=1e-5):
+    mu = x.mean(axis=1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+    return (x - mu) / np.sqrt(var + eps) * params["zattn.ln.g"].data + params["zattn.ln.b"].data
+
+
 def test_cross_attention_single_word_returns_value_row():
+    """One word: every clip attends to it alone, so the mixture is its value row."""
     d = 4
     params = _params(d=d)
     p = _features(L=3, N=1, d=d)
-    joint = refine.cross_attention_fusion(p.v_hat, p.t_hat, params, raw_attention=True)
+    joint = refine.cross_attention_fusion(p.v_hat, p.t_hat, params)
     v_row = p.t_hat.data @ params["zattn.v.w"].data + params["zattn.v.b"].data
-    assert np.allclose(joint.z.data, np.tile(v_row, (3, 1)), atol=1e-12)
+    want = _layer_norm(p.v_hat.data + np.tile(v_row, (3, 1)), params)
+    assert np.allclose(joint.data, want, atol=1e-12)
 
 
 def test_cross_attention_constant_keys_give_mean_value():
+    """Equal keys: uniform attention, so the mixture is the mean value row."""
     d = 4
     params = _params(d=d)
     params["zattn.k.w"].data[...] = 0.0  # keys collapse to the bias row
     p = _features(L=2, N=3, d=d)
-    joint = refine.cross_attention_fusion(p.v_hat, p.t_hat, params, raw_attention=True)
+    joint = refine.cross_attention_fusion(p.v_hat, p.t_hat, params)
     values = p.t_hat.data @ params["zattn.v.w"].data + params["zattn.v.b"].data
-    assert np.allclose(joint.z.data, np.tile(values.mean(axis=0), (2, 1)), atol=1e-12)
-
-
-def test_cross_attention_residual_keeps_clip_identity():
-    p = _features(seed=9)
-    params = _params(seed=9)
-    raw = refine.cross_attention_fusion(p.v_hat, p.t_hat, params, raw_attention=True)
-    # bare attention rows live in the word span; with one word repeated the
-    # mixture is identical for every clip, while the residual variant differs
-    assert raw.z.shape == (4, 4)
-    kept = refine.cross_attention_fusion(p.v_hat, p.t_hat, params)
-    assert not np.allclose(kept.z.data, raw.z.data)
+    want = _layer_norm(p.v_hat.data + np.tile(values.mean(axis=0), (2, 1)), params)
+    assert np.allclose(joint.data, want, atol=1e-12)
 
 
 def test_cross_attention_word_permutation_invariant():
@@ -176,7 +175,7 @@ def test_cross_attention_word_permutation_invariant():
     perm = np.random.default_rng(0).permutation(4)
     a = refine.cross_attention_fusion(p.v_hat, p.t_hat, params)
     b = refine.cross_attention_fusion(p.v_hat, Tensor(p.t_hat.data[perm]), params)
-    assert np.allclose(a.z.data, b.z.data, atol=1e-12)
+    assert np.allclose(a.data, b.data, atol=1e-12)
 
 
 def test_cross_attention_full_path_gradient():
@@ -189,7 +188,7 @@ def test_cross_attention_full_path_gradient():
 
     def build(ts):
         joint = refine.cross_attention_fusion(ts[0], ts[1], params)
-        return T.tsum(T.mul(joint.z, Tensor(r)))
+        return T.tsum(T.mul(joint, Tensor(r)))
 
     assert check_gradients(build, [fv, th]) < 1e-4
 

@@ -87,18 +87,6 @@ def test_gather_rows_accumulates_repeats():
     assert np.allclose(x.grad, [[0, 0], [2, 2], [1, 1]])
 
 
-def test_operator_sugar_matches_kernels():
-    rng = np.random.default_rng(1)
-    a, b = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
-    ta, tb = Tensor(a, requires_grad=True), Tensor(b)
-    out = (ta * tb + 2.0 - tb) / 3.0
-    assert np.allclose(out.data, (a * b + 2.0 - b) / 3.0)
-    out = 1.0 - ta
-    assert np.allclose(out.data, 1.0 - a)
-    (-ta).sum().backward()
-    assert np.allclose(ta.grad, -1.0)
-
-
 def test_composed_expression_gradient():
     rng = np.random.default_rng(7)
     arrays = [rng.standard_normal((3, 3)), rng.standard_normal((3, 3))]

@@ -73,17 +73,33 @@ def test_config_defaults_match_documented_values():
         ("heads", 3),  # does not divide d=16
         ("num_queries", 0),
         ("decoder_layers", 0),
-        ("temperature", 0.0),
+        ("epochs", "3"),
+        ("batch_size", True),  # a bool is not an int
+        ("d", 16.0),
+        ("learning_rate", None),
+        ("lambda_lg", "0.3"),
+        ("weights", 3),
+        ("weights", {"l1": "10"}),
+        ("weights", {"saliency": False}),
     ],
 )
 def test_config_rejects_bad_fields(field, value):
     with pytest.raises(ConfigError):
-        tiny_config(**{field: value}).validate()
+        trainer.TrainConfig.from_dict({**tiny_config().to_dict(), field: value})
+
+
+def test_config_takes_an_int_for_a_float_field():
+    cfg = trainer.TrainConfig.from_dict({"learning_rate": 1, "weights": {"l1": 2}})
+    assert type(cfg.learning_rate) is float and cfg.learning_rate == 1.0
+    assert type(cfg.weights.l1) is float and cfg.weights.l1 == 2.0
 
 
 def test_config_rejects_unknown_keys():
+    for key in ("learning_rte", "data_dir", "raw_fusion_attention", "temperature"):
+        with pytest.raises(ConfigError, match="unknown"):
+            trainer.TrainConfig.from_dict({key: None})
     with pytest.raises(ConfigError, match="unknown"):
-        trainer.TrainConfig.from_dict({"learning_rte": 1e-4})
+        trainer.TrainConfig.from_dict({"weights": {"l2": 1.0}})
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +112,15 @@ def test_forward_shapes(tiny_data, tiny_model):
     res = trainer.forward(sample, bundle, params, cfg, "train")
     assert len(res.prediction.spans) == cfg.num_queries
     assert res.prediction.highlight.shape == (sample.num_clips,)
-    assert res.total is not None and res.total.data.size == 1
-    assert res.breakdown is not None
+    assert all(t.data.size == 1 for t in (res.parts.mom, res.parts.high, res.parts.local))
+    assert res.parts.pooled_v.shape == res.parts.pooled_t.shape == (1, cfg.d)
 
 
 def test_forward_infer_skips_losses(tiny_data, tiny_model):
     cfg, params = tiny_model
     sample, bundle = tiny_data.samples[0]
     res = trainer.forward(sample, bundle, params, cfg, "infer")
-    assert res.total is None and res.breakdown is None and res.parts is None
+    assert res.parts is None
     assert len(res.prediction.spans) == cfg.num_queries
 
 
@@ -114,10 +130,14 @@ def test_forward_rejects_bad_mode(tiny_data, tiny_model):
         trainer.forward(*tiny_data.samples[0], params, cfg, "test")
 
 
+def _sample_total(sample, bundle, params, cfg):
+    return trainer.batch_total([trainer.forward(sample, bundle, params, cfg, "train").parts], cfg)
+
+
 def test_forward_total_decomposes(tiny_data, tiny_model):
     cfg, params = tiny_model
     for sample, bundle in tiny_data.samples:
-        b = trainer.forward(sample, bundle, params, cfg, "train").breakdown
+        _, b = _sample_total(sample, bundle, params, cfg)
         want = b.mom + b.high + b.lambda_lg * (b.local + b.global_)
         assert abs(b.total - want) < 1e-12
 
@@ -126,13 +146,13 @@ def test_forward_lambda_zero_drops_alignment(tiny_data, tiny_model):
     _, params = tiny_model
     cfg = tiny_config(lambda_lg=0.0)
     sample, bundle = tiny_data.samples[1]
-    b = trainer.forward(sample, bundle, params, cfg, "train").breakdown
+    _, b = _sample_total(sample, bundle, params, cfg)
     assert b.total == b.mom + b.high
 
 
 def test_single_sample_global_term_is_zero(tiny_data, tiny_model):
     cfg, params = tiny_model
-    b = trainer.forward(*tiny_data.samples[2], params, cfg, "train").breakdown
+    _, b = _sample_total(*tiny_data.samples[2], params, cfg)
     assert b.global_ == 0.0
 
 
@@ -148,7 +168,7 @@ def test_batch_gradient_is_mean_of_sample_gradients(tiny_data, tiny_model):
     per_sample = {}
     for sample, bundle in pairs:
         trainer.zero_grad(params)
-        trainer.forward(sample, bundle, params, cfg, "train").total.backward()
+        _sample_total(sample, bundle, params, cfg)[0].backward()
         for k, p in params.items():
             if p.grad is not None:
                 acc = per_sample.setdefault(k, np.zeros_like(p.data))
@@ -283,8 +303,6 @@ def test_train_aborts_on_nan(tiny_data, monkeypatch):
 def test_train_requires_data(tiny_data):
     with pytest.raises(ConfigError):
         trainer.train(tiny_config(), Dataset())
-    with pytest.raises(ConfigError):
-        trainer.train(tiny_config())  # no dataset, no data_dir
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +418,26 @@ def test_evaluate_predictions_needs_every_qid_once(tiny_data, trained, pick, err
     else:
         with pytest.raises(ConfigError, match=error):
             trainer.evaluate_predictions(pick(records), tiny_data)
+
+
+def test_predict_builds_no_graph(tiny_data, trained, monkeypatch):
+    with_backward = []
+    real_record = T._record
+
+    def record(out_data, parents, backward):
+        out = real_record(out_data, parents, backward)
+        with_backward.append(out._backward is not None)
+        return out
+
+    monkeypatch.setattr(T, "_record", record)
+    records = trainer.predict(trained, tiny_data)
+    monkeypatch.undo()
+    assert with_backward and not any(with_backward)
+    assert all(p.requires_grad for p in trained.params.values())
+    for rec, (sample, bundle) in zip(records, tiny_data.samples):
+        pred = trainer.forward(sample, bundle, trained.params, trained.config, "train").prediction
+        assert rec["pred_relevant_windows"] == [list(span) for span in pred.spans]
+        assert rec["pred_saliency_scores"] == pred.highlight.tolist()
 
 
 def test_predict_rejects_dim_mismatch(trained):
