@@ -59,7 +59,7 @@ def linear(x: Tensor, params: dict, prefix: str) -> Tensor:
         raise ShapeError(
             f"linear '{prefix}' expects input (*, {w.shape[0]}), got {x.shape}"
         )
-    return T.add(T.matmul(x, w), T.broadcast_rows(b, x.shape[0]))
+    return T.affine(x, w, T.broadcast_rows(b, x.shape[0]))
 
 
 def init_layer_norm(params: dict, prefix: str, d: int):

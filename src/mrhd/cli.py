@@ -112,12 +112,7 @@ def _train_config(args) -> trainer.TrainConfig:
 def _cmd_synth(args) -> int:
     if args.config:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise ConfigError("generator config must be a JSON object")
-        try:
-            cfg = SynthConfig(**raw)
-        except TypeError as e:
-            raise ConfigError(f"bad generator config: {e}") from None
+        cfg = SynthConfig(**trainer._typed_fields(SynthConfig, raw, "generator config"))
     else:
         cfg = SynthConfig()
     ds = synth_generate(cfg, args.seed)

@@ -150,19 +150,22 @@ def decode_spans(out: DecoderOutput, duration: float) -> list[tuple[float, float
 # GRU and reverse hand-off
 
 
+# ``T.gru_step``'s weights, in its order. The candidate's hidden-side bias,
+# gru.hc.b, is not among them: it goes in tiled, as its own node.
+_GRU_WEIGHTS = (
+    "xu.w", "xu.b", "hu.w", "hu.b", "xr.w", "xr.b", "hr.w", "hr.b", "xc.w", "xc.b", "hc.w"
+)
+
+
 def gru_cell(x: Tensor, hidden: Tensor, params: dict) -> Tensor:
     """One gated-recurrent step over (1, d) row vectors.
 
     update u = sigm(Wu x + Uu h), reset r = sigm(Wr x + Ur h),
     candidate c = tanh(Wc x + Uc (r*h)), out = (1-u)*h + u*c.
     """
-    u = T.sigmoid(T.add(linear(x, params, "gru.xu"), linear(hidden, params, "gru.hu")))
-    r = T.sigmoid(T.add(linear(x, params, "gru.xr"), linear(hidden, params, "gru.hr")))
-    cand = T.tanh(
-        T.add(linear(x, params, "gru.xc"), linear(T.mul(r, hidden), params, "gru.hc"))
-    )
-    keep = T.mul(T.add_scalar(T.scale(u, -1.0), 1.0), hidden)
-    return T.add(keep, T.mul(u, cand))
+    weights = tuple(params[f"gru.{name}"] for name in _GRU_WEIGHTS)
+    hc_bias_rows = T.broadcast_rows(params["gru.hc.b"], hidden.shape[0])
+    return T.gru_step(x, hidden, hc_bias_rows, weights)
 
 
 def span_to_clip_range(start: float, end: float, clip_len: float, num_clips: int) -> tuple[int, int]:

@@ -308,6 +308,10 @@ class SynthConfig:
             raise ConfigError("num_samples must be positive")
         if self.num_tokens < 1:
             raise ConfigError("num_tokens must be positive")
+        if min(self.d_v, self.d_t, 1 if self.d_a is None else self.d_a) < 1:
+            raise ConfigError(
+                f"feature widths must be positive, got d_v={self.d_v} d_t={self.d_t} d_a={self.d_a}"
+            )
         if self.min_moment > self.max_moment or self.max_moment <= 0:
             raise ConfigError(
                 f"empty moment length range [{self.min_moment}, {self.max_moment}]"

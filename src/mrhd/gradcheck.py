@@ -138,4 +138,12 @@ def kernel_suite(seeds: range | list[int], h: float = 1e-5) -> dict[str, float]:
         gain = rng.standard_normal(k)
         bias = rng.standard_normal(k)
         run("layer_norm", lambda ts: T.layer_norm(ts[0], ts[1], ts[2]), [a, gain, bias])
+        run("affine", lambda ts: T.affine(ts[0], ts[1], ts[2]), [a, b, rng.standard_normal((m, n))])
+        kv = [rng.standard_normal((n, k)), rng.standard_normal((n, k))]
+        for heads in (1, 2):
+            run(f"attention_{heads}h", lambda ts: T.attention(ts[0], ts[1], ts[2], heads), [a, *kv])
+        # x, h and the hc bias rows, then Wxu, bxu, ..., Wxc, bxc, Whc at width 2
+        rows = [rng.standard_normal((1, 2)) for _ in range(3)]
+        weights = [rng.standard_normal((2, 2) if i % 2 == 0 else 2) for i in range(11)]
+        run("gru_step", lambda ts: T.gru_step(ts[0], ts[1], ts[2], tuple(ts[3:])), rows + weights)
     return worst

@@ -118,12 +118,10 @@ def cross_attention_fusion(f_v_bar: Tensor, t_hat: Tensor, params: dict) -> Tens
     Query comes from the clips, key/value from the words. The input is
     added back to the attention mixture and the sum is layer-normed.
     """
-    d = f_v_bar.shape[1]
     q = linear(f_v_bar, params, "zattn.q")
     k = linear(t_hat, params, "zattn.k")
     v = linear(t_hat, params, "zattn.v")
-    weights = T.softmax(T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d)), axis=1)
-    mixed = T.matmul(weights, v)
+    mixed = T.attention(q, k, v, heads=1)
     return apply_layer_norm(T.add(f_v_bar, mixed), params, "zattn.ln")
 
 
@@ -147,14 +145,7 @@ def multi_head_attention(
     d = q_in.shape[1]
     if d % heads != 0:
         raise ContractError(f"model dim {d} not divisible by {heads} heads")
-    dh = d // heads
     q = linear(q_in, params, f"{prefix}.q")
     k = linear(kv_in, params, f"{prefix}.k")
     v = linear(kv_in, params, f"{prefix}.v")
-    outputs = []
-    for h in range(heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh, kh, vh = (T.slice_cols(m, lo, hi) for m in (q, k, v))
-        w = T.softmax(T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(dh)), axis=1)
-        outputs.append(T.matmul(w, vh))
-    return linear(T.concat(outputs, axis=1), params, f"{prefix}.o")
+    return linear(T.attention(q, k, v, heads), params, f"{prefix}.o")

@@ -10,15 +10,42 @@ it is (only the numpy scalars that 0-d results come back as are converted
 to arrays) and attaches parents and closure only when some parent
 requires grad.
 
-The kernel set is deliberately small: 2-D matmul, same-shape elementwise
-arithmetic, scalar affine ops, a few nonlinearities, axis reductions,
-concat, row/column slicing and gathering, transpose, and the two vector
-broadcasts the model needs (a vector tiled down the rows, a vector tiled
-across the columns). There is no general broadcasting and no view
-semantics; every op materializes a fresh buffer.
+The primitive kernels are 2-D matmul, same-shape elementwise arithmetic,
+scalar affine ops, a few nonlinearities, axis reductions, concat,
+row/column slicing and gathering, transpose, and the vector broadcasts
+the model needs (a vector tiled down the rows, a vector tiled across the
+columns). There is no general broadcasting and no view semantics; every
+op materializes a fresh buffer.
+
+Four fused kernels stand in for the compositions the model runs most:
+``affine`` (a linear layer), ``layer_norm``, ``attention`` (every head of
+a multi-head attention) and ``gru_step``. Each gives the same bits, in its
+outputs and in every gradient, as the primitive composition it replaces.
+``backward`` orders the closures by a depth-first walk, so that takes
+four rules:
+
+1. A fused backward adds into each input in the order the primitive
+   graph's closures did, one ``_accumulate`` per contribution, never a
+   pre-summed one (float addition of three or more terms depends on the
+   order).
+2. Its parents are listed in the reverse of the order in which the walk
+   first reached the corresponding inputs of the primitive graph (the
+   walk pops the last parent first), so the rest of the graph is walked
+   as before.
+3. A bias or gain tiled by ``broadcast_rows`` that the walk reached
+   before the input subtree stays its own node: its closure ran after
+   that whole subtree, and folding it into the kernel would move its
+   contribution ahead of the subtree's. ``affine``, ``layer_norm`` and
+   ``gru_step`` take such tiles as inputs.
+4. Operands keep the layouts the primitive kernels gave them (head
+   slices copied to C order, the transposed key copied as ``transpose``
+   did), since a BLAS call on another layout may sum in another order;
+   and signed zeros come out as the primitive scatter left them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -451,10 +478,38 @@ def expand_scalar(s: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _record(np.full(shape, float(s.data.reshape(()))), (s,), backward)
 
 
+
+
+# ---------------------------------------------------------------------------
+# fused kernels (see the module docstring for the ordering rules they keep)
+
+
+def affine(x: Tensor, w: Tensor, bias_rows: Tensor) -> Tensor:
+    """``x @ w + bias_rows``: a linear layer whose bias is already tiled by
+    ``broadcast_rows``."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"affine expects (m,k)x(k,n), got {x.shape} and {w.shape}")
+    if bias_rows.shape != (x.shape[0], w.shape[1]):
+        raise ShapeError(
+            f"affine bias rows must have shape {(x.shape[0], w.shape[1])}, got {bias_rows.shape}"
+        )
+
+    def backward(g):
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        _accumulate(w, x.data.T @ g)
+        _accumulate(bias_rows, g)
+
+    return _record(x.data @ w.data + bias_rows.data, (x, w, bias_rows), backward)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row normalization to zero mean and unit variance, then affine.
 
-    Built from primitive kernels so the backward pass comes for free.
+    One kernel over ``x`` plus the two ``broadcast_rows`` nodes that tile
+    ``gain`` and ``bias``. The backward adds into ``x`` twice, first the
+    centring's share and then the mean's, as the chain of primitive kernels
+    it replaces did.
     """
     if x.ndim != 2:
         raise ShapeError(f"layer_norm expects a 2-D tensor, got {x.shape}")
@@ -463,9 +518,127 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
         )
-    mu = tmean(x, axis=1)
-    centered = sub(x, broadcast_cols(mu, d))
-    var = tmean(mul(centered, centered), axis=1)
-    inv_std = broadcast_cols(sqrt(add_scalar(var, eps)), d)
-    normed = div(centered, inv_std)
-    return add(mul(normed, broadcast_rows(gain, rows)), broadcast_rows(bias, rows))
+    gain_rows, bias_rows = broadcast_rows(gain, rows), broadcast_rows(bias, rows)
+    centered = x.data - np.mean(x.data, axis=1)[:, None]
+    std = np.sqrt(np.mean(centered * centered, axis=1) + eps)
+    normed = centered / std[:, None]
+
+    def backward(g):
+        _accumulate(gain_rows, g * normed)
+        _accumulate(bias_rows, g)
+        if not x.requires_grad:
+            return
+        g_normed = g * gain_rows.data
+        g_centered = g_normed / std[:, None]
+        g_std = (-g_normed * centered / (std * std)[:, None]).sum(axis=1)
+        g_sq = (g_std * 0.5 / std / d)[:, None] * centered
+        g_centered += g_sq  # centered * centered: one addition per factor
+        g_centered += g_sq
+        _accumulate(x, g_centered)
+        _accumulate(x, np.broadcast_to(((-g_centered).sum(axis=1) / d)[:, None], x.shape))
+
+    return _record(normed * gain_rows.data + bias_rows.data, (x, gain_rows, bias_rows), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Scaled dot-product attention of every head, outputs side by side.
+
+    Head ``h`` takes columns ``[h*dh, (h+1)*dh)`` of ``q``, ``k`` and ``v``
+    (``dh = d // heads``) and gives ``softmax(q_h k_h^T / sqrt(dh)) v_h``
+    in the same columns of the (n_q, d) output.
+    """
+    if q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
+        raise ShapeError(
+            f"attention expects (n,d), (m,d), (m,d), got {q.shape}, {k.shape}, {v.shape}"
+        )
+    d = q.shape[1]
+    if heads < 1 or d % heads != 0:
+        raise ShapeError(f"attention width {d} is not divisible by {heads} heads")
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+    cols = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
+    out = np.empty_like(q.data)
+    saved = []
+    for sl in cols:
+        qh, kh, vh = (m.data[:, sl].copy() for m in (q, k, v))
+        kht = np.ascontiguousarray(kh.T)
+        s = (qh @ kht) * c
+        e = np.exp(s - np.max(s, axis=1, keepdims=True))
+        w = e / np.sum(e, axis=1, keepdims=True)
+        out[:, sl] = w @ vh
+        saved.append((qh, kht, vh, w))
+
+    def backward(g):
+        gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        for sl, (qh, kht, vh, w) in zip(cols, saved):
+            gh = np.ascontiguousarray(g[:, sl])
+            gw = gh @ vh.T
+            gv[:, sl] = w.T @ gh
+            gs = w * (gw - np.sum(gw * w, axis=1, keepdims=True)) * c
+            gq[:, sl] = gs @ kht.T
+            gk[:, sl] = (qh.T @ gs).T
+        if heads > 1:  # the per-head scatter summed zero blocks in: -0.0 -> +0.0
+            gq += 0.0
+            gk += 0.0
+            gv += 0.0
+        _accumulate(q, gq)
+        _accumulate(k, gk)
+        _accumulate(v, gv)
+
+    return _record(out, (q, k, v), backward)
+
+
+def gru_step(x: Tensor, h: Tensor, hc_bias_rows: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
+    """One gated-recurrent step over the rows of ``x`` and ``h``.
+
+    ``weights`` is ``(Wxu, bxu, Whu, bhu, Wxr, bxr, Whr, bhr, Wxc, bxc, Whc)``;
+    the candidate's hidden-side bias comes in tiled, as ``hc_bias_rows``.
+
+    update u = sigm(x Wxu + bxu + h Whu + bhu), reset r = sigm(x Wxr + bxr
+    + h Whr + bhr), candidate c = tanh(x Wxc + bxc + (r*h) Whc + hc_bias_rows),
+    out = (1-u)*h + u*c.
+    """
+    wxu, bxu, whu, bhu, wxr, bxr, whr, bhr, wxc, bxc, whc = weights
+    if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0] or x.shape[1] != wxu.shape[0]:
+        raise ShapeError(f"gru_step expects (n,d_in) and (n,d) rows, got {x.shape} and {h.shape}")
+    if hc_bias_rows.shape != h.shape:
+        raise ShapeError(
+            f"gru_step hc bias rows must have shape {h.shape}, got {hc_bias_rows.shape}"
+        )
+    xd, hd = x.data, h.data
+    u = 1.0 / (1.0 + np.exp(-((xd @ wxu.data + bxu.data) + (hd @ whu.data + bhu.data))))
+    r = 1.0 / (1.0 + np.exp(-((xd @ wxr.data + bxr.data) + (hd @ whr.data + bhr.data))))
+    rh = r * hd
+    cand = np.tanh((xd @ wxc.data + bxc.data) + (rh @ whc.data + hc_bias_rows.data))
+    keep = 1.0 - u
+
+    def backward(g):
+        if h.requires_grad:
+            _accumulate(h, g * keep)
+        g_u = g * hd * -1.0 + g * cand
+        g_su = g_u * u * (1.0 - u)
+        g_sc = g * u * (1.0 - cand * cand)
+        g_rh = g_sc @ whc.data.T
+        g_sr = g_rh * hd * r * (1.0 - r)
+        # into x: the update gate's share, then the candidate's, then the
+        # reset gate's; into h: keep, update, r*h, reset
+        _accumulate(x, g_su @ wxu.data.T)
+        if h.requires_grad:
+            _accumulate(h, g_su @ whu.data.T)
+        _accumulate(x, g_sc @ wxc.data.T)
+        if h.requires_grad:
+            _accumulate(h, g_rh * r)
+        _accumulate(x, g_sr @ wxr.data.T)
+        if h.requires_grad:
+            _accumulate(h, g_sr @ whr.data.T)
+        for w_in, inp, b, g_pre in (
+            (wxu, xd, bxu, g_su), (whu, hd, bhu, g_su),
+            (wxr, xd, bxr, g_sr), (whr, hd, bhr, g_sr),
+            (wxc, xd, bxc, g_sc),
+        ):
+            _accumulate(w_in, inp.T @ g_pre)
+            _accumulate(b, g_pre.sum(axis=0))
+        _accumulate(whc, rh.T @ g_sc)
+        _accumulate(hc_bias_rows, g_sc)
+
+    return _record(keep * hd + u * cand, (x, h, hc_bias_rows, *weights), backward)

@@ -18,6 +18,7 @@ import os
 import struct
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -48,28 +49,27 @@ class TrainingDivergedError(RuntimeError):
 def _typed_fields(cls, raw, what: str) -> dict:
     """``raw``'s entries as keyword arguments for the dataclass ``cls``.
 
-    Every name must be a field, and every value of the type of that field's
-    default: a bool is not an int, an int is taken for a float field (JSON
-    writes 1.0 as 1), and a dict for a dataclass field is checked the same
-    way and built.
+    Every name must be a field, and every value of a type its annotation
+    allows (``int | None`` allows two): a bool is not an int, an int is taken
+    for a float field (JSON writes 1.0 as 1), and a dict for a dataclass field
+    is checked the same way and built.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} must be a JSON object, got {raw!r}")
     unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
-    defaults = cls()
+    hints = get_type_hints(cls)
     out = {}
     for name, value in raw.items():
-        want = type(getattr(defaults, name))
-        if is_dataclass(want) and isinstance(value, dict):
-            value = want(**_typed_fields(want, value, name))
-        elif want is float and type(value) is int:
+        want = get_args(hints[name]) or (hints[name],)
+        if is_dataclass(want[0]) and isinstance(value, dict):
+            value = want[0](**_typed_fields(want[0], value, name))
+        elif float in want and type(value) is int:
             value = float(value)
-        if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
-            raise ConfigError(
-                f"{what} field {name!r} must be {want.__name__}, got {value!r}"
-            )
+        if not isinstance(value, want) or (isinstance(value, bool) and bool not in want):
+            names = " or ".join("None" if t is type(None) else t.__name__ for t in want)
+            raise ConfigError(f"{what} field {name!r} must be {names}, got {value!r}")
         out[name] = value
     return out
 
@@ -250,10 +250,18 @@ def batch_total(
     return losses.total_loss(mom, high, local, glob, config.lambda_lg)
 
 
+def _without_grad(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """The same arrays as params that need no grad: the kernels then record
+    no parents or backward closures, so a forward pass builds no graph."""
+    return {name: Tensor(p.data) for name, p in params.items()}
+
+
 def dataset_breakdown(
     params: dict[str, Tensor], config: TrainConfig, dataset: Dataset
 ) -> losses.LossBreakdown:
-    """Loss over the whole dataset treated as a single batch (no updates)."""
+    """Loss over the whole dataset treated as a single batch (no updates).
+    Builds no graph: nothing calls backward on this loss."""
+    params = _without_grad(params)
     parts = [forward(s, b, params, config, "train").parts for s, b in dataset.samples]
     _, breakdown = batch_total(parts, config)
     return breakdown
@@ -372,12 +380,24 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def _param_names(config: TrainConfig) -> set[str]:
-    """Names of the params ``init_model`` makes for ``config``. They depend on
-    the layer counts, not on the widths, so a model of width ``heads`` and
-    one input feature per modality stands in for the real one."""
-    tiny = replace(config, d=config.heads)
-    return set(init_model(np.random.default_rng(0), 1, 1, tiny))
+def _param_shapes(config: TrainConfig, params: dict[str, np.ndarray], path) -> dict[str, tuple]:
+    """Shapes of the params ``init_model`` makes for ``config`` and the input
+    widths of the stored first layers (``params``). The model is built, so a
+    config that needs more numbers than ``params`` hold is refused first:
+    each transformer block, the shared one and every decoder layer, has at
+    least its four d x d attention projections."""
+    held = sum(a.size for a in params.values())
+    if 4 * config.d**2 * (1 + config.decoder_layers) + config.num_queries * config.d > held:
+        raise CheckpointFormatError(
+            f"{path}: the config's model (d={config.d}, {config.decoder_layers} decoder"
+            f" layers, {config.num_queries} queries) has more numbers than the {held} stored"
+        )
+    d_v, d_t = (
+        params[n].shape[0] if n in params and params[n].ndim == 2 else 1
+        for n in ("proj_v.l0.w", "proj_t.l0.w")
+    )
+    model = init_model(np.random.default_rng(0), d_v, d_t, config)
+    return {name: p.shape for name, p in model.items()}
 
 
 def _check_header(header, path) -> None:
@@ -438,9 +458,21 @@ def load_checkpoint(path) -> Checkpoint:
             off += 8 * count
     if off != size:
         raise CheckpointFormatError(f"{path}: {size - off} trailing bytes")
-    missing = _param_names(config) - stores["param"].keys()
+    shapes = _param_shapes(config, stores["param"], path)
+    missing = shapes.keys() - stores["param"].keys()
     if missing:
         raise CheckpointFormatError(f"{path}: no arrays for params {sorted(missing)}")
+    for kind, arrays in stores.items():
+        for name, arr in sorted(arrays.items()):
+            if name not in shapes:
+                raise CheckpointFormatError(
+                    f"{path}: {kind} array {name} is not a param of the model"
+                )
+            if arr.shape != shapes[name]:
+                raise CheckpointFormatError(
+                    f"{path}: {kind} array {name} has shape {list(arr.shape)},"
+                    f" the model needs {list(shapes[name])}"
+                )
     params = {
         name: Tensor(arr, requires_grad=True) for name, arr in stores["param"].items()
     }
@@ -526,9 +558,7 @@ def _check_dims(ckpt: Checkpoint, dataset: Dataset) -> None:
 def predict(ckpt: Checkpoint, dataset: Dataset, out_path=None) -> list[dict]:
     """Emit one JSON record per query; also write JSON-Lines when asked."""
     _check_dims(ckpt, dataset)
-    # The same arrays as params that need no grad: the kernels then record
-    # no parents or backward closures, so inference builds no graph.
-    params = {name: Tensor(p.data) for name, p in ckpt.params.items()}
+    params = _without_grad(ckpt.params)
     records = []
     for sample, bundle in dataset.samples:
         res = forward(sample, bundle, params, ckpt.config, mode="infer")

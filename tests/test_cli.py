@@ -68,10 +68,33 @@ def test_synth_rejects_bad_config(tmp_path, capsys):
     assert cli.main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
 
 
+def test_synth_rejects_field_of_wrong_type(tmp_path, caplog):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"num_clips": "8"}))
+    assert cli.main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
+    assert "generator config field 'num_clips' must be int, got '8'" in caplog.text
+
+
+def test_synth_takes_an_audio_width(tmp_path):
+    cfg = tmp_path / "audio.json"
+    cfg.write_text(json.dumps({**TINY_SYNTH, "d_a": 3}))
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+    cfg.write_text(json.dumps({**TINY_SYNTH, "d_a": 3.0}))
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 1
+
+
 def test_synth_rejects_invalid_counts(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"num_clips": 1}))
     assert cli.main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
+
+
+@pytest.mark.parametrize("widths", [{"d_v": 0}, {"d_t": -3}, {"d_a": 0}])
+def test_synth_rejects_widths_below_one(tmp_path, caplog, widths):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(widths))
+    assert cli.main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
+    assert "feature widths must be positive" in caplog.text
 
 
 def test_train_eval_predict_pipeline(tiny_dir, tmp_path, capsys):
@@ -166,6 +189,35 @@ def test_malformed_checkpoint_header_exits_one(tiny_dir, tmp_path, caplog, edit,
     _edit_header(ckpt, edit)
     assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir)]) == 1
     assert message in caplog.text
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # the same bytes read as the transposed matrix
+        (lambda h: _entry(h, "param", "fuse.w").update(shape=[16, 80]),
+         "param array fuse.w has shape [16, 80], the model needs [80, 16]"),
+        (lambda h: _entry(h, "adam_m", "fuse.w").update(shape=[16, 80]),
+         "adam_m array fuse.w has shape [16, 80], the model needs [80, 16]"),
+        # a d = 32 header over the d = 16 arrays
+        (lambda h: h["config"].update(d=32), "param array cross.t.b has shape [16], the model needs [32]"),
+        (lambda h: h["config"].update(d=4096), "has more numbers than the"),
+        (lambda h: _entry(h, "adam_v", "fuse.b").update(name="fuse.c"),
+         "adam_v array fuse.c is not a param of the model"),
+    ],
+)
+def test_checkpoint_of_another_shape_exits_one(tiny_dir, tmp_path, caplog, edit, message):
+    data_dir, train_cfg = tiny_dir
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--config", str(train_cfg), "--data", str(data_dir),
+                     "--out", str(ckpt)]) == 0
+    _edit_header(ckpt, edit)
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir)]) == 1
+    assert message in caplog.text
+
+
+def _entry(header, kind, name):
+    return next(e for e in header["arrays"] if e["kind"] == kind and e["name"] == name)
 
 
 def test_config_field_of_wrong_type_exits_one(tiny_dir, tmp_path, caplog):

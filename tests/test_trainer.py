@@ -480,3 +480,27 @@ def test_sweep_rejects_bad_values(tiny_data):
         trainer.sweep_lambda(tiny_config(), [-0.1], tiny_data)
     with pytest.raises(ConfigError):
         trainer.sweep_lambda(tiny_config(), [float("inf")], tiny_data)
+
+
+def test_dataset_breakdown_builds_no_graph(tiny_data, trained, monkeypatch):
+    with_backward = []
+    real_record = T._record
+
+    def record(out_data, parents, backward):
+        out = real_record(out_data, parents, backward)
+        with_backward.append(out._backward is not None)
+        return out
+
+    monkeypatch.setattr(T, "_record", record)
+    got = trainer.dataset_breakdown(trained.params, trained.config, tiny_data)
+    monkeypatch.undo()
+    assert with_backward and not any(with_backward)
+    assert all(p.requires_grad for p in trained.params.values())
+    # the same loss over the grad-tracking params, graph and all
+    parts = [
+        trainer.forward(s, b, trained.params, trained.config, "train").parts
+        for s, b in tiny_data.samples
+    ]
+    total, want = trainer.batch_total(parts, trained.config)
+    assert total.requires_grad
+    assert np.array(list(vars(got).values())).tobytes() == np.array(list(vars(want).values())).tobytes()
