@@ -34,6 +34,7 @@ _USER_ERRORS = (
     DatasetLoadError,
     FeatureFormatError,
     trainer.CheckpointFormatError,
+    trainer.PredictionFormatError,
     FileNotFoundError,
     NotADirectoryError,
     IsADirectoryError,

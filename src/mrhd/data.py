@@ -109,6 +109,8 @@ def read_features(path) -> np.ndarray:
     if raw[:8] != _MAGIC:
         raise FeatureFormatError(f"{path}: bad magic {raw[:8]!r}")
     rows, cols = struct.unpack("<II", raw[8:16])
+    if rows == 0 or cols == 0:
+        raise FeatureFormatError(f"{path}: header claims an empty {rows}x{cols} matrix")
     if rows * cols > _MAX_ELEMENTS:
         raise FeatureFormatError(f"{path}: header claims {rows}x{cols}, overflow")
     expected = rows * cols * 4

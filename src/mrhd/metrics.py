@@ -11,13 +11,20 @@ the score-ranked clips, HIT@1 checks the single best-scored clip, and
 annotators without any positive are skipped. The top-5 variant ranks
 only the five best-scored clips and measures precision within that list.
 
-All average precisions use the all-points interpolated integral.
+All average precisions use the all-points interpolated integral, computed
+by one kernel (``average_precision``) over a matrix of ranked hit flags:
+a row per (query, IoU threshold) for retrieval and per (query, annotator)
+for highlights. Queries are scored in groups of one shape (span and
+window counts, or clip and annotator counts), so each group is a handful
+of numpy calls however many queries it holds. Equal scores keep their
+listed order when ranked.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -25,6 +32,8 @@ from .data import QuerySample
 from .tensor import ContractError
 
 MR_MAP_THRESHOLDS = tuple(round(0.50 + 0.05 * k, 2) for k in range(10))
+POSITIVE_RATING = 4
+TOP_K = 5
 
 
 @dataclass
@@ -52,7 +61,129 @@ class EvalReport:
 
 
 # ---------------------------------------------------------------------------
-# temporal IoU and recall
+# kernels
+
+
+def average_precision(hits: np.ndarray, num_positives: np.ndarray) -> np.ndarray:
+    """All-points interpolated AP of every row of a (rows, ranks) hit matrix.
+
+    Each hit adds the best precision at its rank or any deeper one, over
+    the row's positive count; a row with no positives scores 0.
+    """
+    hits = np.asarray(hits, dtype=bool)
+    num_positives = np.asarray(num_positives, dtype=np.float64)
+    precision = np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1)
+    best = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    total = np.where(hits, best, 0.0).sum(axis=1)
+    return np.divide(total, num_positives, out=np.zeros(len(hits)), where=num_positives > 0)
+
+
+def _groups(keys) -> dict:
+    """Positions of equal keys, in first-seen order."""
+    out: dict = {}
+    for pos, key in enumerate(keys):
+        out.setdefault(key, []).append(pos)
+    return out
+
+
+def _ranked_ious(spans: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """(G, P, W) temporal IoU of G queries' (start, end, score) spans, best
+    score first, against their (start, end) windows. Windows have positive
+    length, so a zero-length span scores 0."""
+    order = np.argsort(-spans[:, :, 2], axis=1, kind="stable")
+    spans = np.take_along_axis(spans, order[:, :, None], axis=1)
+    s1, e1 = spans[:, :, None, 0], spans[:, :, None, 1]
+    s2, e2 = windows[:, None, :, 0], windows[:, None, :, 1]
+    inter = np.maximum(np.minimum(e1, e2) - np.maximum(s1, s2), 0.0)
+    return inter / ((e1 - s1) + (e2 - s2) - inter)
+
+
+def _greedy_hits(ious: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """(G, T, P) hit flags of score-order greedy matching at each threshold:
+    a span takes the free window of highest IoU (the first of equals) when
+    that IoU is positive and reaches the threshold."""
+    G, P, W = ious.shape
+    rows = np.arange(G)[:, None], np.arange(len(thresholds))[None, :]
+    free = np.ones((G, len(thresholds), W), dtype=bool)
+    hits = np.zeros((G, len(thresholds), P), dtype=bool)
+    for rank in range(P):
+        candidates = np.where(free, ious[:, None, rank, :], -1.0)
+        best = candidates.argmax(axis=2)
+        best_iou = candidates[(*rows, best)]
+        hit = (best_iou > 0.0) & (best_iou >= thresholds)
+        hits[:, :, rank] = hit
+        free[(*rows, best)] &= ~hit
+    return hits
+
+
+def _mr_tables(preds, gts, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Per query: AP at each threshold, (T, Q), and the best IoU of the
+    top-scored span with any window, (Q,)."""
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    ap = np.zeros((len(thresholds), len(preds)))
+    top_iou = np.zeros(len(preds))
+    for (_, num_windows), pos in _groups((len(p), len(g)) for p, g in zip(preds, gts)).items():
+        spans = np.array([preds[q] for q in pos], dtype=np.float64)
+        windows = np.array([gts[q] for q in pos], dtype=np.float64)
+        ious = _ranked_ious(spans, windows)
+        hits = _greedy_hits(ious, thresholds)
+        per_row = average_precision(hits.reshape(-1, hits.shape[2]), num_windows)
+        ap[:, pos] = per_row.reshape(len(pos), len(thresholds)).T
+        top_iou[pos] = ious[:, 0, :].max(axis=1)
+    return ap, top_iou
+
+
+def _hd_tables(pred_scores, samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per query, mean over the annotators with a positive: AP over all
+    clips, HIT@1 and AP within the top five. NaN where no annotator has a
+    positive."""
+    n = len(samples)
+    hd_ap, hit, top5 = np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan)
+    keys = []
+    for scores, sample in zip(pred_scores, samples):
+        if len(scores) != len(sample.saliency):
+            raise ContractError(
+                f"score vector length {len(scores)} != clip count {len(sample.saliency)}"
+            )
+        keys.append((len(sample.saliency), len(sample.saliency[0])))
+    for (_, annotators), pos in _groups(keys).items():
+        scores = np.array([pred_scores[q] for q in pos], dtype=np.float64)
+        ratings = np.fromiter(
+            chain.from_iterable(chain.from_iterable(samples[q].saliency for q in pos)), dtype=np.int64
+        ).reshape(scores.shape + (annotators,))
+        order = np.argsort(-scores, axis=1, kind="stable")
+        ranked = np.take_along_axis(ratings == POSITIVE_RATING, order[:, :, None], axis=1)
+        flags = ranked.transpose(0, 2, 1).reshape(len(pos) * annotators, -1)
+        positives = flags.sum(axis=1)
+        top = flags[:, :TOP_K]
+        counted = (positives > 0).reshape(len(pos), annotators)
+        count = counted.sum(axis=1)
+        per_row = (
+            average_precision(flags, positives),
+            flags[:, 0].astype(np.float64),
+            average_precision(top, top.sum(axis=1)),
+        )
+        defined = count > 0
+        for out, values in zip((hd_ap, hit, top5), per_row):
+            sums = np.where(counted, values.reshape(len(pos), annotators), 0.0).sum(axis=1)
+            out[np.asarray(pos)[defined]] = sums[defined] / count[defined]
+    return hd_ap, hit, top5
+
+
+def _map_summary(ap: np.ndarray, thresholds) -> tuple[float, float, float]:
+    """(mAP at 0.5, mAP at 0.75, mean over all thresholds) of a (T, Q) AP table."""
+    per_threshold = ap.mean(axis=1)
+    by_thr = dict(zip(thresholds, per_threshold.tolist()))
+    return by_thr[0.5], by_thr[0.75], float(np.mean(per_threshold))
+
+
+def _mean_defined(values: np.ndarray) -> float | None:
+    defined = values[~np.isnan(values)]
+    return float(np.mean(defined)) if len(defined) else None
+
+
+# ---------------------------------------------------------------------------
+# per-query entry points
 
 
 def temporal_iou(a, b) -> float:
@@ -66,86 +197,37 @@ def temporal_iou(a, b) -> float:
     return inter / union
 
 
+def _check_nonempty(preds: list[list], gts: list[list]) -> None:
+    if len(preds) != len(gts):
+        raise ContractError("need one prediction list per query")
+    for spans, windows in zip(preds, gts):
+        if len(spans) == 0:
+            raise ContractError("every query needs at least one prediction")
+        if len(windows) == 0:
+            raise ContractError("every query needs at least one ground truth")
+
+
 def recall_at_1(preds: list[list], gts: list[list], threshold: float) -> float:
     """Fraction of queries whose best-scored span clears the IoU threshold
     against any ground-truth window."""
-    if len(preds) != len(gts):
-        raise ContractError("recall_at_1 needs one prediction list per query")
-    hits = 0
-    for spans, windows in zip(preds, gts):
-        if not spans:
-            raise ContractError("recall_at_1 requires at least one prediction per query")
-        if not windows:
-            raise ContractError("recall_at_1 requires at least one ground truth per query")
-        top = max(spans, key=lambda s: s[2])
-        if any(temporal_iou(top[:2], w) >= threshold for w in windows):
-            hits += 1
-    return hits / len(preds)
-
-
-# ---------------------------------------------------------------------------
-# average precision
+    _check_nonempty(preds, gts)
+    _, top_iou = _mr_tables(preds, gts, ())
+    return int((top_iou >= threshold).sum()) / len(preds)
 
 
 def ap_from_flags(tp_flags: list[bool], num_positives: int) -> float:
     """All-points interpolated AP from ranked true-positive flags."""
-    if num_positives == 0:
-        return 0.0
-    tp = 0
-    precisions, recalls = [], []
-    for rank, flag in enumerate(tp_flags, start=1):
-        if flag:
-            tp += 1
-        precisions.append(tp / rank)
-        recalls.append(tp / num_positives)
-    mrec = np.concatenate([[0.0], recalls, [1.0]])
-    mpre = np.concatenate([[0.0], precisions, [0.0]])
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
-    moved = np.where(mrec[1:] != mrec[:-1])[0]
-    return float(np.sum((mrec[moved + 1] - mrec[moved]) * mpre[moved + 1]))
-
-
-def _query_ap(spans: list, windows: list, threshold: float) -> float:
-    """Greedy score-order matching: each window satisfies one span at most."""
-    order = sorted(range(len(spans)), key=lambda i: -spans[i][2])
-    taken = [False] * len(windows)
-    flags = []
-    for i in order:
-        best_iou, best_j = 0.0, -1
-        for j, w in enumerate(windows):
-            if taken[j]:
-                continue
-            iou = temporal_iou(spans[i][:2], w)
-            if iou > best_iou:
-                best_iou, best_j = iou, j
-        if best_j >= 0 and best_iou >= threshold:
-            taken[best_j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return ap_from_flags(flags, len(windows))
+    return float(average_precision(np.asarray(tp_flags, dtype=bool)[None, :], [num_positives])[0])
 
 
 def mr_map(
     preds: list[list], gts: list[list], thresholds=MR_MAP_THRESHOLDS
 ) -> tuple[float, float, float]:
     """(mAP at 0.5, mAP at 0.75, mean over all thresholds)."""
-    per_threshold = []
-    for t in thresholds:
-        aps = [_query_ap(spans, windows, t) for spans, windows in zip(preds, gts)]
-        per_threshold.append(float(np.mean(aps)) if aps else 0.0)
-    by_thr = dict(zip(thresholds, per_threshold))
-    return by_thr[0.5], by_thr[0.75], float(np.mean(per_threshold))
-
-
-# ---------------------------------------------------------------------------
-# highlight detection
-
-
-def _annotator_columns(sample: QuerySample) -> np.ndarray:
-    """(L, A) rating matrix; -1 marks unannotated entries."""
-    return np.asarray(sample.saliency, dtype=np.int64)
+    _check_nonempty(preds, gts)
+    if not preds:
+        return 0.0, 0.0, 0.0
+    return _map_summary(_mr_tables(preds, gts, thresholds)[0], thresholds)
 
 
 def hd_metrics(pred_scores, sample: QuerySample) -> tuple[float, float] | None:
@@ -154,43 +236,17 @@ def hd_metrics(pred_scores, sample: QuerySample) -> tuple[float, float] | None:
     An annotator counts only if they rated some clip 4; a query where no
     annotator did has no defined value and returns None.
     """
-    scores = np.asarray(pred_scores, dtype=np.float64)
-    ratings = _annotator_columns(sample)
-    if scores.shape[0] != ratings.shape[0]:
-        raise ContractError(
-            f"score vector length {scores.shape[0]} != clip count {ratings.shape[0]}"
-        )
-    order = np.argsort(-scores, kind="stable")
-    aps, hits = [], []
-    for a in range(ratings.shape[1]):
-        positives = ratings[:, a] == 4
-        if not positives.any():
-            continue
-        flags = [bool(positives[i]) for i in order]
-        aps.append(ap_from_flags(flags, int(positives.sum())))
-        hits.append(1.0 if positives[order[0]] else 0.0)
-    if not aps:
+    hd_ap, hit, _ = _hd_tables([pred_scores], [sample])
+    if np.isnan(hd_ap[0]):
         return None
-    return float(np.mean(aps)), float(np.mean(hits))
+    return float(hd_ap[0]), float(hit[0])
 
 
 def top5_map(pred_scores, sample: QuerySample) -> float | None:
     """AP over the five best-scored clips only, positives counted within
     that list; annotators with no positive anywhere are skipped."""
-    scores = np.asarray(pred_scores, dtype=np.float64)
-    ratings = _annotator_columns(sample)
-    k = min(5, scores.shape[0])
-    order = np.argsort(-scores, kind="stable")[:k]
-    aps = []
-    for a in range(ratings.shape[1]):
-        positives = ratings[:, a] == 4
-        if not positives.any():
-            continue
-        flags = [bool(positives[i]) for i in order]
-        aps.append(ap_from_flags(flags, sum(flags)))
-    if not aps:
-        return None
-    return float(np.mean(aps))
+    top5 = _hd_tables([pred_scores], [sample])[2]
+    return None if np.isnan(top5[0]) else float(top5[0])
 
 
 # ---------------------------------------------------------------------------
@@ -205,22 +261,20 @@ def evaluate(results: list[tuple[QuerySample, list, list]]) -> EvalReport:
     of input ordering.
     """
     results = sorted(results, key=lambda r: r[0].qid)
+    samples = [sample for sample, _, _ in results]
     preds = [spans for _, spans, _ in results]
-    gts = [list(s.relevant_windows) for s, _, _ in results]
-    m050, m075, mavg = mr_map(preds, gts)
-
-    hd_pairs = [hd_metrics(scores, s) for s, _, scores in results]
-    hd_pairs = [p for p in hd_pairs if p is not None]
-    t5 = [top5_map(scores, s) for s, _, scores in results]
-    t5 = [v for v in t5 if v is not None]
-
+    gts = [sample.relevant_windows for sample in samples]
+    _check_nonempty(preds, gts)
+    ap, top_iou = _mr_tables(preds, gts, MR_MAP_THRESHOLDS)
+    map_050, map_075, map_avg = _map_summary(ap, MR_MAP_THRESHOLDS)
+    hd_ap, hit, top5 = _hd_tables([scores for _, _, scores in results], samples)
     return EvalReport(
-        r1_050=recall_at_1(preds, gts, 0.5),
-        r1_070=recall_at_1(preds, gts, 0.7),
-        map_050=m050,
-        map_075=m075,
-        map_avg=mavg,
-        hd_map=float(np.mean([p[0] for p in hd_pairs])) if hd_pairs else None,
-        hit_at_1=float(np.mean([p[1] for p in hd_pairs])) if hd_pairs else None,
-        top5_map=float(np.mean(t5)) if t5 else None,
+        r1_050=int((top_iou >= 0.5).sum()) / len(results),
+        r1_070=int((top_iou >= 0.7).sum()) / len(results),
+        map_050=map_050,
+        map_075=map_075,
+        map_avg=map_avg,
+        hd_map=_mean_defined(hd_ap),
+        hit_at_1=_mean_defined(hit),
+        top5_map=_mean_defined(top5),
     )

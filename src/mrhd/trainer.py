@@ -17,7 +17,10 @@ import math
 import os
 import struct
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import chain
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -36,6 +39,10 @@ _ARRAY_KINDS = ("param", "adam_m", "adam_v")
 
 class CheckpointFormatError(ValueError):
     """Checkpoint file is malformed or inconsistent with its header."""
+
+
+class PredictionFormatError(ValueError):
+    """A prediction file or record is malformed or does not fit its query."""
 
 
 class TrainingDivergedError(RuntimeError):
@@ -354,6 +361,24 @@ class Checkpoint:
     adam_t: int = 0
 
 
+@contextmanager
+def _replacing(path, mode: str, **kwargs):
+    """Write through a temp file beside ``path`` that replaces it only once
+    fully written and synced, so an interrupted write leaves the old file
+    or none, never a partial one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Single file: magic, u64 header length, JSON header, float64 blobs."""
     arrays: list[tuple[str, str, np.ndarray]] = []
@@ -372,7 +397,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         ],
     }
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
@@ -572,26 +597,60 @@ def predict(ckpt: Checkpoint, dataset: Dataset, out_path=None) -> list[dict]:
             }
         )
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _replacing(out_path, "w", encoding="utf-8") as fh:
             for rec in records:
                 fh.write(json.dumps(rec) + "\n")
     return records
 
 
+_NUMBERS = {int, float}
+# A predicted span may end this far past the video, as a window may
+# (``data._validate_sample``).
+_END_TOLERANCE = 1e-9
+
+
+def _record_type_problem(rec) -> str | None:
+    """What keeps a parsed line from being a prediction record: a JSON
+    object with an int ``qid``, a list of [start, end, score] number
+    triples and a list of number saliency scores."""
+    if not isinstance(rec, dict):
+        return f"expected a JSON object, got {type(rec).__name__}"
+    for key in ("qid", "pred_relevant_windows", "pred_saliency_scores"):
+        if key not in rec:
+            return f"missing {key}"
+    if type(rec["qid"]) is not int:
+        return f"qid must be an int, got {rec['qid']!r}"
+    windows, saliency = rec["pred_relevant_windows"], rec["pred_saliency_scores"]
+    if not (
+        type(windows) is list
+        and all(type(w) is list and len(w) == 3 for w in windows)
+        and set(map(type, chain.from_iterable(windows))) <= _NUMBERS
+    ):
+        return f"qid {rec['qid']}: pred_relevant_windows must be a list of [start, end, score] numbers"
+    if not (type(saliency) is list and set(map(type, saliency)) <= _NUMBERS):
+        return f"qid {rec['qid']}: pred_saliency_scores must be a list of numbers"
+    return None
+
+
 def read_predictions(path) -> list[dict]:
+    """Parse a ``predict`` JSON-Lines file; a line that is not a prediction
+    record raises ``PredictionFormatError`` naming the file and the line."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CheckpointFormatError(f"{path} line {lineno}: {e}") from None
-            for key in ("qid", "pred_relevant_windows", "pred_saliency_scores"):
-                if key not in rec:
-                    raise CheckpointFormatError(f"{path} line {lineno}: missing {key}")
-            records.append(rec)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise PredictionFormatError(f"{path} line {lineno}: {e}") from None
+                problem = _record_type_problem(rec)
+                if problem:
+                    raise PredictionFormatError(f"{path} line {lineno}: {problem}")
+                records.append(rec)
+    except UnicodeDecodeError as e:
+        raise PredictionFormatError(f"{path}: not UTF-8 text ({e})") from None
     return records
 
 
@@ -599,17 +658,47 @@ def evaluate_checkpoint(ckpt: Checkpoint, dataset: Dataset) -> metrics.EvalRepor
     return evaluate_predictions(predict(ckpt, dataset), dataset)
 
 
+def _prediction_arrays(rec: dict, sample: QuerySample) -> tuple[np.ndarray, np.ndarray]:
+    """A record's spans as a (P, 3) array and its saliency as one value per
+    clip, refused with the qid unless every value is finite, there is a
+    span, and each lies inside the video with start <= end."""
+    where = f"prediction for qid {sample.qid}"
+    try:
+        spans = np.asarray(rec["pred_relevant_windows"], dtype=np.float64)
+        saliency = np.asarray(rec["pred_saliency_scores"], dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise PredictionFormatError(f"{where}: {e}") from None
+    if spans.size == 0:
+        raise PredictionFormatError(f"{where}: no spans")
+    if spans.ndim != 2 or spans.shape[1] != 3 or not np.isfinite(spans).all():
+        raise PredictionFormatError(f"{where}: spans must be finite [start, end, score] triples")
+    start, end = spans[:, 0], spans[:, 1]
+    outside = (start < 0.0) | (end < start) | (end > sample.duration + _END_TOLERANCE)
+    if outside.any():
+        bad = spans[int(outside.argmax())]
+        raise PredictionFormatError(
+            f"{where}: span [{bad[0]}, {bad[1]}] outside 0 <= start <= end <= {sample.duration}"
+        )
+    if saliency.shape != (len(sample.saliency),) or not np.isfinite(saliency).all():
+        raise PredictionFormatError(
+            f"{where}: saliency must be one finite value per clip ({len(sample.saliency)} clips)"
+        )
+    return spans, saliency
+
+
 def evaluate_predictions(records: list[dict], dataset: Dataset) -> metrics.EvalReport:
     """Score exactly one record per dataset query; a partial or repeated
-    record list would report metrics over some other query set."""
+    record list would report metrics over some other query set. Each
+    record is checked here, once, so the metrics see clean arrays."""
     by_qid = {sample.qid: sample for sample, _ in dataset.samples}
+    if not by_qid:
+        raise ConfigError("dataset is empty")
     results = []
     for rec in records:
         if rec["qid"] not in by_qid:
             raise ConfigError(f"prediction qid {rec['qid']} not in dataset")
         sample = by_qid[rec["qid"]]
-        spans = [tuple(w) for w in rec["pred_relevant_windows"]]
-        results.append((sample, spans, list(rec["pred_saliency_scores"])))
+        results.append((sample, *_prediction_arrays(rec, sample)))
     counts = Counter(rec["qid"] for rec in records)
     missing = sorted(by_qid.keys() - counts.keys())
     duplicated = sorted(qid for qid, n in counts.items() if n > 1)

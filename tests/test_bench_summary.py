@@ -46,3 +46,47 @@ def test_summary_needs_three_records_per_group(tmp_path):
     paths.append(_record(tmp_path, "train-long", 1, 1.0, trace=1))
     with pytest.raises(ValueError, match="train-long-traced: 1 records"):
         bench_summary.summary([json.loads(p.read_text()) for p in paths])
+
+
+def _bench(tmp_path, label, values_by_workload):
+    paths = []
+    for workload, values in values_by_workload.items():
+        trace = int(workload.endswith("-traced"))
+        name = workload.removesuffix("-traced")
+        paths += [_record(tmp_path, name, seed, v, trace=trace) for seed, v in enumerate(values)]
+    assert bench_summary.main(["--label", label, "--git-sha", "abc", "--out", str(tmp_path), *map(str, paths)]) == 0
+    for path in paths:
+        path.unlink()
+    return tmp_path / f"BENCH_{label}.json"
+
+
+def test_compare_medians_and_parent_quartiles(tmp_path, capsys):
+    parent = _bench(tmp_path, "parent", {
+        "train-long": [10.0, 11.0, 12.0, 13.0, 14.0],  # q1 11, median 12, q3 13
+        "predict-eval": [20.0, 20.0, 20.0],
+        "predict-eval-traced": [1.0, 1.0, 1.0],
+    })
+    change = _bench(tmp_path, "change", {
+        "train-long": [12.5, 12.5, 12.5],
+        "predict-eval": [5.0, 6.0, 7.0],
+        "predict-eval-traced": [9.0, 9.0, 9.0],
+        "train-overfit": [1.0, 1.0, 1.0],
+    })
+    rows = bench_summary.compare(*(json.loads(p.read_text()) for p in (parent, change)))
+    assert [(r["workload"], r["metric"]) for r in rows] == [("predict-eval", "op_ms"), ("train-long", "op_ms")]
+    pe, tl = rows
+    assert (pe["parent"], pe["change"], pe["ratio"], pe["vs_parent_quartiles"]) == (20.0, 6.0, 0.3, "below q1")
+    assert (tl["parent"], tl["change"], tl["vs_parent_quartiles"]) == (12.0, 12.5, "inside")
+
+    capsys.readouterr()
+    assert bench_summary.main(["--compare", str(parent), str(change)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["predict-eval", "op_ms", "20", "6", "0.300", "below", "q1"]
+    assert lines[2].split() == ["train-long", "op_ms", "12", "12.5", "1.042", "inside"]
+
+
+def test_compare_takes_no_records(tmp_path):
+    with pytest.raises(SystemExit):
+        bench_summary.main(["--compare", "a.json", "b.json", "--label", "x"])
+    with pytest.raises(SystemExit):
+        bench_summary.main(["--label", "x"])

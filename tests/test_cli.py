@@ -144,6 +144,27 @@ def test_eval_uneven_annotator_counts_exits_one(tiny_dir, tmp_path, caplog):
     assert f"qid {recs[1]['qid']} clip 2 has 2 ratings" in caplog.text
 
 
+def test_eval_of_malformed_predictions_exits_one(tiny_dir, tmp_path, caplog, monkeypatch):
+    """A record the metrics cannot score is a user error naming the qid."""
+    from mrhd import trainer
+
+    data_dir, train_cfg = tiny_dir
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--config", str(train_cfg), "--data", str(data_dir),
+                     "--out", str(ckpt)]) == 0
+    predict, broken = trainer.predict, []
+
+    def past_the_end(*args, **kwargs):
+        records = predict(*args, **kwargs)
+        records[1]["pred_relevant_windows"][0][1] = 99.0
+        broken.append(records[1]["qid"])
+        return records
+
+    monkeypatch.setattr(trainer, "predict", past_the_end)
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir)]) == 1
+    assert f"prediction for qid {broken[0]}: span" in caplog.text
+
+
 def test_train_missing_data_exits_one(tmp_path):
     assert cli.main(["train", "--data", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "m.ckpt")]) == 1

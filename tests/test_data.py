@@ -74,6 +74,14 @@ def test_overflow_header_rejected(tmp_path):
         read_features(p)
 
 
+@pytest.mark.parametrize("shape", [(4, 0), (0, 4), (0, 0)])
+def test_empty_feature_matrix_rejected(tmp_path, shape):
+    p = tmp_path / "empty.vfeat"
+    write_features(p, np.zeros(shape))
+    with pytest.raises(FeatureFormatError, match=f"empty {shape[0]}x{shape[1]}"):
+        read_features(p)
+
+
 def test_clip_labels_basic():
     assert clip_labels(_sample()).tolist() == [1, 1, 0, 0]
 

@@ -323,3 +323,124 @@ def test_evaluate_omits_undefined_hd_fields():
     d = report.to_dict()
     assert "hd_map" not in d and "hit_at_1" not in d and "top5_map" not in d
     assert "r1_050" in d
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation against the benchmark's oracle and the one-query entry
+# points
+
+import importlib.util  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+_ORACLE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+_spec = importlib.util.spec_from_file_location("perfbench_oracle", _ORACLE_PATH)
+bench_oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_oracle)
+
+# Few distinct values, so that scores tie and spans repeat.
+_TIED = st.sampled_from([0.1, 0.5, 0.5, 0.9])
+
+
+@st.composite
+def _query(draw, qid):
+    clip_len = 2.0
+    num_clips = draw(st.integers(min_value=2, max_value=9))
+    duration = clip_len * num_clips
+    grid = st.integers(min_value=0, max_value=2 * num_clips)  # half-clip steps
+    windows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        a, b = sorted(draw(st.lists(grid, min_size=2, max_size=2, unique=True)))
+        windows.append((a / 2 * clip_len, b / 2 * clip_len))
+    spans = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        a, b = sorted(draw(st.lists(grid, min_size=2, max_size=2)))  # a == b: zero length
+        spans.append([a / 2 * clip_len, b / 2 * clip_len, draw(_TIED)])
+    annotators = draw(st.integers(min_value=1, max_value=3))
+    # annotator 0 may rate nothing 4; the others draw any rating
+    ratings = [
+        [draw(st.integers(min_value=-1, max_value=3))]
+        + [draw(st.integers(min_value=-1, max_value=4)) for _ in range(annotators - 1)]
+        for _ in range(num_clips)
+    ]
+    sample = QuerySample(
+        qid=qid, vid=f"v{qid}", query_text="q", duration=duration, clip_len=clip_len,
+        relevant_windows=tuple(windows), saliency=tuple(map(tuple, ratings)),
+    )
+    saliency = [draw(_TIED) for _ in range(num_clips)]
+    return sample, spans, saliency
+
+
+@st.composite
+def _batch(draw):
+    count = draw(st.integers(min_value=1, max_value=8))
+    qids = draw(st.permutations(range(count)))
+    return [draw(_query(qid)) for qid in qids]
+
+
+def _oracle_top5(saliency, ratings):
+    ranked = sorted(range(len(saliency)), key=lambda i: (-saliency[i], i))[:5]
+    aps = []
+    for a in range(len(ratings[0])):
+        if any(row[a] == 4 for row in ratings):
+            hits = [ratings[i][a] == 4 for i in ranked]
+            aps.append(bench_oracle.average_precision(hits, sum(hits)))
+    return aps
+
+
+@given(_batch())
+@settings(max_examples=150, deadline=None)
+def test_evaluate_matches_oracle(batch):
+    report = M.evaluate(batch).to_dict()
+    records = [
+        {"qid": s.qid, "pred_relevant_windows": spans, "pred_saliency_scores": sal}
+        for s, spans, sal in batch
+    ]
+    expected = bench_oracle.evaluate(records, {s.qid: s for s, _, _ in batch})
+    assert bench_oracle.metric_problems(report, expected) == []
+    assert ("hd_map" in report) == ("hd_map" in expected)
+    per_query = [_oracle_top5(sal, s.saliency) for s, _, sal in batch]
+    per_query = [sum(aps) / len(aps) for aps in per_query if aps]
+    if per_query:
+        assert abs(report["top5_map"] - sum(per_query) / len(per_query)) <= 1e-12
+    else:
+        assert "top5_map" not in report
+
+
+@given(_batch())
+@settings(max_examples=60, deadline=None)
+def test_batch_values_are_the_one_query_values(batch):
+    """Queries of different clip, span and window counts are scored in
+    separate groups; every query's value must come back to its own slot."""
+    samples = [s for s, _, _ in batch]
+    preds = [spans for _, spans, _ in batch]
+    gts = [s.relevant_windows for s in samples]
+    ap, top_iou = M._mr_tables(preds, gts, M.MR_MAP_THRESHOLDS)
+    hd_ap, hit, top5 = M._hd_tables([sal for _, _, sal in batch], samples)
+    for q, (sample, spans, saliency) in enumerate(batch):
+        m050, m075, mavg = M.mr_map([spans], [gts[q]])
+        assert (ap[0, q], ap[5, q], ap[:, q].mean()) == (m050, m075, mavg)
+        for t in (0.5, 0.7):
+            assert M.recall_at_1([spans], [gts[q]], t) == float(top_iou[q] >= t)
+        hd = M.hd_metrics(saliency, sample)
+        assert (None if np.isnan(hd_ap[q]) else (hd_ap[q], hit[q])) == hd
+        t5 = M.top5_map(saliency, sample)
+        assert (None if np.isnan(top5[q]) else top5[q]) == t5
+
+
+def test_zero_length_span_scores_zero():
+    sample = _sample([[0]] * 8, windows=((4.0, 8.0),))
+    report = M.evaluate([(sample, [[5.0, 5.0, 0.9], [4.0, 8.0, 0.5]], [0.0] * 8)])
+    assert report.r1_050 == 0.0
+    assert abs(report.map_050 - 0.5) < 1e-12
+
+
+def test_ap_kernel_rows_match_oracle():
+    rng = np.random.default_rng(4)
+    hits = rng.random((40, 9)) < 0.4
+    positives = hits.sum(axis=1) + rng.integers(0, 3, size=40)
+    got = M.average_precision(hits, positives)
+    for row, p, value in zip(hits, positives, got):
+        assert abs(value - oracle_ap(row.tolist(), int(p))) < 1e-12
+        assert M.ap_from_flags(row.tolist(), int(p)) == value

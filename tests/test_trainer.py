@@ -449,8 +449,138 @@ def test_predict_rejects_dim_mismatch(trained):
 def test_read_predictions_rejects_missing_keys(tmp_path):
     path = tmp_path / "preds.jsonl"
     path.write_text('{"qid": 0, "pred_relevant_windows": []}\n')
-    with pytest.raises(trainer.CheckpointFormatError, match="pred_saliency_scores"):
+    with pytest.raises(trainer.PredictionFormatError, match="pred_saliency_scores"):
         trainer.read_predictions(path)
+
+
+def _plain_records(ds):
+    """One in-range record per query: a 2 s span and flat saliency."""
+    return [
+        {"qid": s.qid, "pred_relevant_windows": [[0.0, 2.0, 0.5]],
+         "pred_saliency_scores": [0.0] * s.num_clips}
+        for s, _ in ds.samples
+    ]
+
+
+def test_zero_length_predicted_span_scores_zero(tiny_data):
+    records = _plain_records(tiny_data)
+    assert tiny_data.samples[0][0].duration == 16.0
+    records[0]["pred_relevant_windows"] = [[5.0, 5.0, 0.9]]
+    report = trainer.evaluate_predictions(records, tiny_data)
+    assert report == trainer.evaluate_predictions(
+        [*records[1:], {**records[0], "pred_relevant_windows": [[15.0, 16.0, 0.9]]}], tiny_data
+    )
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("pred_relevant_windows", [[0.0, 99.0, 0.9]], r"span \[0.0, 99.0\] outside"),
+        ("pred_relevant_windows", [[-1.0, 2.0, 0.9]], "outside"),
+        ("pred_relevant_windows", [[4.0, 3.0, 0.9]], "outside"),
+        ("pred_relevant_windows", [], "no spans"),
+        ("pred_relevant_windows", [[0.0, 2.0, float("nan")]], "finite"),
+        ("pred_relevant_windows", [[0.0, 2.0]], r"\[start, end, score\]"),
+        ("pred_saliency_scores", [0.0] * 7, "one finite value per clip"),
+        ("pred_saliency_scores", [float("nan")] + [0.0] * 7, "one finite value per clip"),
+        ("pred_saliency_scores", [float("inf")] + [0.0] * 7, "one finite value per clip"),
+        ("pred_saliency_scores", ["x"] * 8, "could not convert"),
+    ],
+)
+def test_evaluate_predictions_refuses_bad_record(tiny_data, field, value, message):
+    records = _plain_records(tiny_data)
+    records[2][field] = value
+    qid = records[2]["qid"]
+    with pytest.raises(trainer.PredictionFormatError, match=f"qid {qid}: .*{message}"):
+        trainer.evaluate_predictions(records, tiny_data)
+
+
+def test_evaluate_predictions_refuses_empty_dataset():
+    with pytest.raises(ConfigError, match="dataset is empty"):
+        trainer.evaluate_predictions([], Dataset())
+
+
+def test_span_end_within_tolerance_of_duration_is_scored(tiny_data):
+    records = _plain_records(tiny_data)
+    records[0]["pred_relevant_windows"] = [[0.0, 16.0 + 1e-10, 0.9]]
+    trainer.evaluate_predictions(records, tiny_data)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"qid": "0", "pred_relevant_windows": [[0, 1, 0.5]], "pred_saliency_scores": [0.1]}',
+         "qid must be an int"),
+        ('{"qid": true, "pred_relevant_windows": [[0, 1, 0.5]], "pred_saliency_scores": [0.1]}',
+         "qid must be an int"),
+        ('{"qid": 0, "pred_relevant_windows": [[0, 1]], "pred_saliency_scores": [0.1]}',
+         "pred_relevant_windows"),
+        ('{"qid": 0, "pred_relevant_windows": [[0, "1", 0.5]], "pred_saliency_scores": [0.1]}',
+         "pred_relevant_windows"),
+        ('{"qid": 0, "pred_relevant_windows": [[0, 1, true]], "pred_saliency_scores": [0.1]}',
+         "pred_relevant_windows"),
+        ('{"qid": 0, "pred_relevant_windows": [0, 1, 0.5], "pred_saliency_scores": [0.1]}',
+         "pred_relevant_windows"),
+        ('{"qid": 0, "pred_relevant_windows": [[0, 1, 0.5]], "pred_saliency_scores": "0.1"}',
+         "pred_saliency_scores"),
+        ('{"qid": 0, "pred_relevant_windows": [[0, 1, 0.5]], "pred_saliency_scores": [0.1, null]}',
+         "pred_saliency_scores"),
+        ("[0, 1, 2]", "expected a JSON object"),
+        ("{not json", "Expecting"),
+    ],
+)
+def test_read_predictions_refuses_wrong_types(tmp_path, line, message):
+    good = '{"qid": 0, "pred_relevant_windows": [[0, 1, 0.5]], "pred_saliency_scores": [0.1]}'
+    path = tmp_path / "preds.jsonl"
+    path.write_text(good + "\n\n" + line + "\n")
+    with pytest.raises(trainer.PredictionFormatError, match=f"preds.jsonl line 3: .*{message}"):
+        trainer.read_predictions(path)
+
+
+def test_read_predictions_refuses_non_utf8(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    path.write_bytes(b"\xff\xfe{}\n")
+    with pytest.raises(trainer.PredictionFormatError, match="preds.jsonl: not UTF-8"):
+        trainer.read_predictions(path)
+
+
+def test_interrupted_checkpoint_write_keeps_the_old_file(tiny_data, trained, tmp_path):
+    path = tmp_path / "model.ckpt"
+    trainer.save_checkpoint(trained, path)
+    before = path.read_bytes()
+    broken = trainer.Checkpoint(
+        params=trained.params, config=trained.config, step=trained.step,
+        adam_m=trained.adam_m, adam_v={**trained.adam_v, "zz": np.array(["not a number"])},
+        adam_t=trained.adam_t,
+    )
+    with pytest.raises(ValueError):
+        trainer.save_checkpoint(broken, path)  # fails after the header and the params
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+    with pytest.raises(ValueError):
+        trainer.save_checkpoint(broken, tmp_path / "new.ckpt")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
+def test_interrupted_prediction_write_keeps_the_old_file(tiny_data, trained, tmp_path, monkeypatch):
+    path = tmp_path / "preds.jsonl"
+    path.write_text("old\n")
+    dumps, calls = json.dumps, []
+
+    def failing_dumps(obj, *args, **kwargs):
+        calls.append(obj)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(trainer.json, "dumps", failing_dumps)
+    with pytest.raises(OSError, match="disk full"):
+        trainer.predict(trained, tiny_data, path)
+    monkeypatch.undo()
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.jsonl"]
+    records = trainer.predict(trained, tiny_data, path)
+    assert trainer.read_predictions(path) == records
 
 
 # ---------------------------------------------------------------------------

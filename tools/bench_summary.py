@@ -1,6 +1,7 @@
 """Summarise benchmark run records into one committed ``BENCH_<label>.json``.
 
     python tools/bench_summary.py --label NAME [--git-sha SHA] [--out DIR] RECORD...
+    python tools/bench_summary.py --compare PARENT.json CHANGE.json
 
 Each RECORD is a run record that ``perfbench/run.py`` writes under
 ``perfbench/out/`` (``<workload>-seed<N>-trace<0|1>.json``). Records are
@@ -14,6 +15,11 @@ The code measured is named by a git SHA: by default the repository's HEAD,
 with ``git_dirty`` set when ``src/`` or ``perfbench/`` differ from it.
 ``--git-sha`` names it instead, for records made in a plain copy of a
 commit. The file goes to the repository root unless ``--out`` says where.
+
+``--compare`` reads two such files and prints, for every untraced
+workload and end-to-end metric both hold, the two medians, their ratio
+(change over parent) and where the change's median lies against the
+parent's quartiles: ``below q1``, ``above q3`` or ``inside``.
 """
 
 from __future__ import annotations
@@ -80,13 +86,60 @@ def summary(records: list[dict]) -> dict:
     return out
 
 
+def compare(parent: dict, change: dict) -> list[dict]:
+    """One row per untraced workload and metric of ``change`` that
+    ``parent`` also reports."""
+    rows = []
+    for name, group in sorted(change["workloads"].items()):
+        if name.endswith("-traced"):
+            continue
+        base = parent["workloads"].get(name, {}).get("metrics", {})
+        for metric, stats in sorted(group["metrics"].items()):
+            if metric not in base:
+                continue
+            before, after = base[metric], stats["median"]
+            if after < before["q1"]:
+                where = "below q1"
+            elif after > before["q3"]:
+                where = "above q3"
+            else:
+                where = "inside"
+            rows.append({
+                "workload": name, "metric": metric, "unit": stats["unit"],
+                "parent": before["median"], "change": after,
+                "ratio": after / before["median"] if before["median"] else None,
+                "vs_parent_quartiles": where,
+            })
+    return rows
+
+
+def _print_comparison(rows: list[dict]) -> None:
+    print(f"{'workload':<15} {'metric':<13} {'parent':>11} {'change':>11} {'ratio':>7}  vs parent quartiles")
+    for r in rows:
+        ratio = "n/a" if r["ratio"] is None else f"{r['ratio']:.3f}"
+        print(
+            f"{r['workload']:<15} {r['metric']:<13} {r['parent']:>11.4g} {r['change']:>11.4g}"
+            f" {ratio:>7}  {r['vs_parent_quartiles']}"
+        )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
+    parser.add_argument("--label", help="the file is BENCH_<label>.json")
     parser.add_argument("--git-sha", help="the commit measured (default: HEAD)")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory to write to")
-    parser.add_argument("records", nargs="+", type=Path)
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("PARENT", "CHANGE"),
+                        help="print the end-to-end medians of two BENCH files side by side")
+    parser.add_argument("records", nargs="*", type=Path)
     args = parser.parse_args(argv)
+    if args.compare:
+        if args.label or args.records:
+            parser.error("--compare takes no --label and no records")
+        parent, change = (json.loads(path.read_text(encoding="utf-8")) for path in args.compare)
+        _print_comparison(compare(parent, change))
+        return 0
+    if not args.label or not args.records:
+        parser.error("--label and at least one record are required")
 
     records = [json.loads(path.read_text(encoding="utf-8")) for path in args.records]
     try:
