@@ -59,7 +59,7 @@ def linear(x: Tensor, params: dict, prefix: str) -> Tensor:
         raise ShapeError(
             f"linear '{prefix}' expects input (*, {w.shape[0]}), got {x.shape}"
         )
-    return T.affine(x, w, T.broadcast_rows(b, x.shape[0]))
+    return T.affine(x, w, b)
 
 
 def init_layer_norm(params: dict, prefix: str, d: int):
@@ -120,9 +120,9 @@ def local_similarity(p: ProjectedFeatures) -> tuple[Tensor, Tensor]:
 
     Returns the full (L, N) matrix and its per-clip mean over words.
     """
-    L, N = p.v_hat.shape[0], p.t_hat.shape[0]
+    L = p.v_hat.shape[0]
     dots = T.matmul(p.v_hat, T.transpose(p.t_hat))
-    denom = T.mul(T.broadcast_cols(row_norms(p.v_hat), N), T.broadcast_rows(row_norms(p.t_hat), L))
+    denom = T.mul(T.reshape(row_norms(p.v_hat), (L, 1)), row_norms(p.t_hat))
     s_loc = T.sigmoid(T.div(dots, denom))
     return s_loc, T.tmean(s_loc, axis=1)
 

@@ -35,6 +35,7 @@ _USER_ERRORS = (
     FeatureFormatError,
     trainer.CheckpointFormatError,
     trainer.PredictionFormatError,
+    trainer.NonFiniteOutputError,
     FileNotFoundError,
     NotADirectoryError,
     IsADirectoryError,

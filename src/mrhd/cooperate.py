@@ -116,9 +116,9 @@ def highlight_head(joint: Tensor, params: dict, heads: int) -> Tensor:
 def hd2mr(joint: Tensor, h: Tensor, params: dict, heads: int) -> Tensor:
     """Enhance joint features with softmaxed highlight scores, then re-encode
     with the same shared block the highlight head used."""
-    length, d = joint.shape
+    length = joint.shape[0]
     weights = T.softmax(h, axis=0)
-    scaled = T.mul(joint, T.broadcast_cols(weights, d))
+    scaled = T.mul(joint, T.reshape(weights, (length, 1)))
     return transformer_block(T.add(joint, scaled), params, SHARED_PREFIX, heads)
 
 
@@ -150,10 +150,9 @@ def decode_spans(out: DecoderOutput, duration: float) -> list[tuple[float, float
 # GRU and reverse hand-off
 
 
-# ``T.gru_step``'s weights, in its order. The candidate's hidden-side bias,
-# gru.hc.b, is not among them: it goes in tiled, as its own node.
+# ``T.gru_step``'s weights, in its order.
 _GRU_WEIGHTS = (
-    "xu.w", "xu.b", "hu.w", "hu.b", "xr.w", "xr.b", "hr.w", "hr.b", "xc.w", "xc.b", "hc.w"
+    "xu.w", "xu.b", "hu.w", "hu.b", "xr.w", "xr.b", "hr.w", "hr.b", "xc.w", "xc.b", "hc.w", "hc.b"
 )
 
 
@@ -163,21 +162,21 @@ def gru_cell(x: Tensor, hidden: Tensor, params: dict) -> Tensor:
     update u = sigm(Wu x + Uu h), reset r = sigm(Wr x + Ur h),
     candidate c = tanh(Wc x + Uc (r*h)), out = (1-u)*h + u*c.
     """
-    weights = tuple(params[f"gru.{name}"] for name in _GRU_WEIGHTS)
-    hc_bias_rows = T.broadcast_rows(params["gru.hc.b"], hidden.shape[0])
-    return T.gru_step(x, hidden, hc_bias_rows, weights)
+    return T.gru_step(x, hidden, tuple(params[f"gru.{name}"] for name in _GRU_WEIGHTS))
 
 
 def span_to_clip_range(start: float, end: float, clip_len: float, num_clips: int) -> tuple[int, int]:
-    """Clip index range [i0, i1) covered by a span, clamped non-empty."""
-    i0 = int(math.floor(start / clip_len))
-    i1 = int(math.ceil(end / clip_len))
-    if i1 <= 0 or i0 >= num_clips:
+    """Clip index range [i0, i1) covered by a span, clamped non-empty.
+
+    A span that only touches the video, such as the zero-width span at its
+    end that a saturated span head decodes to, takes the clip it touches.
+    """
+    if end < 0.0 or start > num_clips * clip_len:
         raise ContractError(
             f"span [{start}, {end}] lies outside the {num_clips}-clip video"
         )
-    i0 = max(i0, 0)
-    i1 = min(i1, num_clips)
+    i0 = min(max(int(math.floor(start / clip_len)), 0), num_clips - 1)
+    i1 = min(int(math.ceil(end / clip_len)), num_clips)
     if i1 <= i0:
         i1 = i0 + 1
     return i0, i1
@@ -207,9 +206,9 @@ def mr2hd(
         hidden = gru_cell(T.slice_rows(moment_rows, t, t + 1), hidden, params)
 
     dots = T.reshape(T.matmul(v_hat, T.transpose(hidden)), (length,))
-    norm_prod = T.mul(row_norms(v_hat), T.expand_scalar(row_norms(hidden), (length,)))
+    norm_prod = T.mul(row_norms(v_hat), row_norms(hidden))
     s_ref = T.div(dots, norm_prod)
     weights = T.softmax(s_ref, axis=0)
-    reweighted = T.mul(z_hat, T.broadcast_cols(weights, d))
+    reweighted = T.mul(z_hat, T.reshape(weights, (length, 1)))
     refined = linear(T.add(joint, reweighted), params, "refine_out")
     return T.reshape(refined, (length,))

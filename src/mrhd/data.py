@@ -180,21 +180,24 @@ def load_annotations(path) -> list[QuerySample]:
     """Parse a JSON-Lines annotations file, validating each record."""
     samples = []
     seen_qids: set[int] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"line {lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
-            sample = _sample_from_record(rec, where)
-            if sample.qid in seen_qids:
-                raise ValidationError(f"{where}: duplicate qid {sample.qid}")
-            seen_qids.add(sample.qid)
-            samples.append(sample)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"line {lineno}"
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
+        sample = _sample_from_record(rec, where)
+        if sample.qid in seen_qids:
+            raise ValidationError(f"{where}: duplicate qid {sample.qid}")
+        seen_qids.add(sample.qid)
+        samples.append(sample)
     return samples
 
 

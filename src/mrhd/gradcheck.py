@@ -103,6 +103,13 @@ def kernel_suite(seeds: range | list[int], h: float = 1e-5) -> dict[str, float]:
         run("sub", lambda ts: T.sub(ts[0], ts[1]), [a, c])
         run("mul", lambda ts: T.mul(ts[0], ts[1]), [a, c])
         run("div", lambda ts: T.div(ts[0], ts[1]), [a, pos])
+        # broadcasting: a row vector, a column (the first operand) and a
+        # single value
+        row, col, one = (rng.uniform(0.5, 2.0, size=shape) for shape in (k, (m, 1), 1))
+        for name, op in (("add", T.add), ("sub", T.sub), ("mul", T.mul), ("div", T.div)):
+            run(f"{name}_row", lambda ts, op=op: op(ts[0], ts[1]), [a, row])
+            run(f"{name}_col", lambda ts, op=op: op(ts[0], ts[1]), [col, pos])
+            run(f"{name}_one", lambda ts, op=op: op(ts[0], ts[1]), [a, one])
         run("scale", lambda ts: T.scale(ts[0], -1.7), [a])
         run("add_scalar", lambda ts: T.add_scalar(ts[0], 0.3), [a])
         run("exp", lambda ts: T.exp(ts[0]), [a])
@@ -133,17 +140,15 @@ def kernel_suite(seeds: range | list[int], h: float = 1e-5) -> dict[str, float]:
         idx = rng.integers(0, m, size=5).tolist()
         run("gather_rows", lambda ts: T.gather_rows(ts[0], idx), [a])
         run("broadcast_rows", lambda ts: T.broadcast_rows(ts[0], m), [v])
-        run("broadcast_cols", lambda ts: T.broadcast_cols(ts[0], n), [v])
-        run("expand_scalar", lambda ts: T.expand_scalar(ts[0], (m, n)), [np.array(0.37)])
         gain = rng.standard_normal(k)
         bias = rng.standard_normal(k)
         run("layer_norm", lambda ts: T.layer_norm(ts[0], ts[1], ts[2]), [a, gain, bias])
-        run("affine", lambda ts: T.affine(ts[0], ts[1], ts[2]), [a, b, rng.standard_normal((m, n))])
+        run("affine", lambda ts: T.affine(ts[0], ts[1], ts[2]), [a, b, rng.standard_normal(n)])
         kv = [rng.standard_normal((n, k)), rng.standard_normal((n, k))]
         for heads in (1, 2):
             run(f"attention_{heads}h", lambda ts: T.attention(ts[0], ts[1], ts[2], heads), [a, *kv])
-        # x, h and the hc bias rows, then Wxu, bxu, ..., Wxc, bxc, Whc at width 2
-        rows = [rng.standard_normal((1, 2)) for _ in range(3)]
-        weights = [rng.standard_normal((2, 2) if i % 2 == 0 else 2) for i in range(11)]
-        run("gru_step", lambda ts: T.gru_step(ts[0], ts[1], ts[2], tuple(ts[3:])), rows + weights)
+        # x and h, then Wxu, bxu, ..., Whc, bhc at width 2
+        rows = [rng.standard_normal((1, 2)) for _ in range(2)]
+        weights = [rng.standard_normal((2, 2) if i % 2 == 0 else 2) for i in range(12)]
+        run("gru_step", lambda ts: T.gru_step(ts[0], ts[1], tuple(ts[2:])), rows + weights)
     return worst

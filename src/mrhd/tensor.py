@@ -4,40 +4,36 @@ Everything differentiable in this package runs on the ``Tensor`` class
 below: a numpy float64 buffer plus a dynamically recorded graph. Each
 kernel stores its parent tensors and a closure that maps the output
 gradient to input gradients; ``backward()`` on a scalar loss replays the
-closures in reverse topological order and accumulates into ``.grad``.
-Kernels hand their fresh output buffer to ``_record``, which wraps it as
-it is (only the numpy scalars that 0-d results come back as are converted
-to arrays) and attaches parents and closure only when some parent
-requires grad.
+closures and accumulates into ``.grad``. Kernels hand their fresh output
+buffer to ``_record``, which wraps it as it is (only the numpy scalars that
+0-d results come back as are converted to arrays) and, when some parent
+requires grad, attaches parents and closure and stamps the node with the
+next number of a counter.
 
-The primitive kernels are 2-D matmul, same-shape elementwise arithmetic,
-scalar affine ops, a few nonlinearities, axis reductions, concat,
-row/column slicing and gathering, transpose, and the vector broadcasts
-the model needs (a vector tiled down the rows, a vector tiled across the
-columns). There is no general broadcasting and no view semantics; every
-op materializes a fresh buffer.
+The primitive kernels are 2-D matmul, elementwise arithmetic under numpy's
+broadcasting rule, scalar affine ops, a few nonlinearities, axis
+reductions, concat, row/column slicing and gathering, transpose, and
+``broadcast_rows``, which tiles a vector into a real matrix for
+``concat``. There are no views; every op materializes a fresh buffer.
+
+``backward`` runs the closures in reverse creation order. A node is
+created after its parents, so each gradient is complete before its closure
+reads it, and a tensor's contributions arrive in the reverse of the order
+in which its consumers were created, whatever the graph's shape.
 
 Four fused kernels stand in for the compositions the model runs most:
 ``affine`` (a linear layer), ``layer_norm``, ``attention`` (every head of
 a multi-head attention) and ``gru_step``. Each gives the same bits, in its
-outputs and in every gradient, as the primitive composition it replaces.
-``backward`` orders the closures by a depth-first walk, so that takes
-four rules:
+outputs and in every gradient, as the primitive composition it replaces;
+``tests/test_fused.py`` compares them byte for byte. A fused node takes one
+number where the composition took a run of consecutive ones, so its
+closure runs where theirs did, and two rules are left:
 
 1. A fused backward adds into each input in the order the primitive
-   graph's closures did, one ``_accumulate`` per contribution, never a
+   graph's closures do, one ``_accumulate`` per contribution, never a
    pre-summed one (float addition of three or more terms depends on the
    order).
-2. Its parents are listed in the reverse of the order in which the walk
-   first reached the corresponding inputs of the primitive graph (the
-   walk pops the last parent first), so the rest of the graph is walked
-   as before.
-3. A bias or gain tiled by ``broadcast_rows`` that the walk reached
-   before the input subtree stays its own node: its closure ran after
-   that whole subtree, and folding it into the kernel would move its
-   contribution ahead of the subtree's. ``affine``, ``layer_norm`` and
-   ``gru_step`` take such tiles as inputs.
-4. Operands keep the layouts the primitive kernels gave them (head
+2. Operands keep the layouts the primitive kernels gave them (head
    slices copied to C order, the transposed key copied as ``transpose``
    did), since a BLAS call on another layout may sum in another order;
    and signed zeros come out as the primitive scatter left them.
@@ -45,7 +41,9 @@ four rules:
 
 from __future__ import annotations
 
+import itertools
 import math
+from operator import attrgetter
 
 import numpy as np
 
@@ -65,7 +63,7 @@ def _as_array(values) -> np.ndarray:
 class Tensor:
     """A float64 array that remembers the operation graph producing it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq")
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = _as_array(values)
@@ -73,6 +71,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        self._seq = 0
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -90,34 +89,34 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable tensor.
 
-        Walks the recorded graph once in reverse topological order. Grads
-        of tensors the loss does not depend on are left as None.
+        Collects the reachable nodes that have a closure and runs the
+        closures once each, in reverse creation order (see the module
+        docstring). Grads of tensors the loss does not depend on are left
+        as None.
         """
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
-        topo: list[Tensor] = []
+        nodes: list[Tensor] = []
         seen: set[Tensor] = set()  # tensors hash by identity
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        push, pop, visit, emit = stack.append, stack.pop, seen.add, topo.append
-        while stack:  # iterative DFS; GRU chains can exceed the recursion limit
-            node, expanded = pop()
-            if expanded:
-                emit(node)
+        stack = [self]
+        while stack:  # a loop, not recursion: GRU chains are deep
+            node = stack.pop()
+            if node._backward is None or node in seen:
                 continue
-            if node in seen:
-                continue
-            visit(node)
-            push((node, True))
-            for parent in node._parents:
-                if parent not in seen:
-                    push((parent, False))
+            seen.add(node)
+            nodes.append(node)
+            stack.extend(node._parents)
+        nodes.sort(key=attrgetter("_seq"), reverse=True)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        for node in nodes:
+            if node.grad is not None:
                 node._backward(node.grad)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+_counter = itertools.count(1)  # leaves and nodes without a closure keep 0
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -149,18 +148,36 @@ def _record(out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tens
     out.requires_grad = False
     out._parents = ()
     out._backward = None
+    out._seq = 0
     for p in parents:
         if p.requires_grad:
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
+            out._seq = next(_counter)
             break
     return out
 
 
-def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op} expects matching shapes, got {a.shape} and {b.shape}")
+def _broadcast(op, a: Tensor, b: Tensor, name: str) -> np.ndarray:
+    try:
+        return op(a.data, b.data)
+    except ValueError:
+        raise ShapeError(
+            f"{name} expects broadcastable shapes, got {a.shape} and {b.shape}"
+        ) from None
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``g`` over the axes broadcasting stretched an operand of ``shape``
+    along, giving it that shape back."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    if lead:
+        g = g.sum(axis=tuple(range(lead)))
+    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=stretched, keepdims=True) if stretched else g
 
 
 # ---------------------------------------------------------------------------
@@ -195,44 +212,37 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "add")
-
     def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(a, _unbroadcast(g, a.shape))
+        _accumulate(b, _unbroadcast(g, b.shape))
 
-    return _record(a.data + b.data, (a, b), backward)
+    return _record(_broadcast(np.add, a, b, "add"), (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-
     def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
+        _accumulate(a, _unbroadcast(g, a.shape))
+        _accumulate(b, _unbroadcast(-g, b.shape))
 
-    return _record(a.data - b.data, (a, b), backward)
+    return _record(_broadcast(np.subtract, a, b, "sub"), (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product."""
-    _same_shape(a, b, "mul")
 
     def backward(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
-    return _record(a.data * b.data, (a, b), backward)
+    return _record(_broadcast(np.multiply, a, b, "mul"), (a, b), backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "div")
-
     def backward(g):
-        _accumulate(a, g / b.data)
-        _accumulate(b, -g * a.data / (b.data * b.data))
+        _accumulate(a, _unbroadcast(g / b.data, a.shape))
+        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    return _record(a.data / b.data, (a, b), backward)
+    return _record(_broadcast(np.divide, a, b, "div"), (a, b), backward)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -456,79 +466,49 @@ def broadcast_rows(v: Tensor, n: int) -> Tensor:
     return _record(np.repeat(v.data[None, :], n, axis=0), (v,), backward)
 
 
-def broadcast_cols(v: Tensor, m: int) -> Tensor:
-    """Tile a length-n vector into an (n, m) matrix, one copy per column."""
-    if v.ndim != 1:
-        raise ShapeError(f"broadcast_cols expects a 1-D tensor, got {v.shape}")
-
-    def backward(g):
-        _accumulate(v, g.sum(axis=1))
-
-    return _record(np.repeat(v.data[:, None], m, axis=1), (v,), backward)
-
-
-def expand_scalar(s: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """Fill ``shape`` with a single scalar tensor's value."""
-    if s.data.size != 1:
-        raise ShapeError(f"expand_scalar expects a scalar, got shape {s.shape}")
-
-    def backward(g):
-        _accumulate(s, np.full(s.shape, g.sum()))
-
-    return _record(np.full(shape, float(s.data.reshape(()))), (s,), backward)
-
-
-
-
 # ---------------------------------------------------------------------------
 # fused kernels (see the module docstring for the ordering rules they keep)
 
 
-def affine(x: Tensor, w: Tensor, bias_rows: Tensor) -> Tensor:
-    """``x @ w + bias_rows``: a linear layer whose bias is already tiled by
-    ``broadcast_rows``."""
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b``: a linear layer, its bias added to every row."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"affine expects (m,k)x(k,n), got {x.shape} and {w.shape}")
-    if bias_rows.shape != (x.shape[0], w.shape[1]):
-        raise ShapeError(
-            f"affine bias rows must have shape {(x.shape[0], w.shape[1])}, got {bias_rows.shape}"
-        )
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"affine bias must have shape {(w.shape[1],)}, got {b.shape}")
 
     def backward(g):
         if x.requires_grad:
             _accumulate(x, g @ w.data.T)
         _accumulate(w, x.data.T @ g)
-        _accumulate(bias_rows, g)
+        _accumulate(b, g.sum(axis=0))
 
-    return _record(x.data @ w.data + bias_rows.data, (x, w, bias_rows), backward)
+    return _record(x.data @ w.data + b.data, (x, w, b), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row normalization to zero mean and unit variance, then affine.
 
-    One kernel over ``x`` plus the two ``broadcast_rows`` nodes that tile
-    ``gain`` and ``bias``. The backward adds into ``x`` twice, first the
-    centring's share and then the mean's, as the chain of primitive kernels
-    it replaces did.
+    The backward adds into ``x`` twice, first the centring's share and then
+    the mean's, as the chain of primitive kernels it replaces does.
     """
     if x.ndim != 2:
         raise ShapeError(f"layer_norm expects a 2-D tensor, got {x.shape}")
-    rows, d = x.shape
+    d = x.shape[1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
         )
-    gain_rows, bias_rows = broadcast_rows(gain, rows), broadcast_rows(bias, rows)
     centered = x.data - np.mean(x.data, axis=1)[:, None]
     std = np.sqrt(np.mean(centered * centered, axis=1) + eps)
     normed = centered / std[:, None]
 
     def backward(g):
-        _accumulate(gain_rows, g * normed)
-        _accumulate(bias_rows, g)
+        _accumulate(gain, (g * normed).sum(axis=0))
+        _accumulate(bias, g.sum(axis=0))
         if not x.requires_grad:
             return
-        g_normed = g * gain_rows.data
+        g_normed = g * gain.data
         g_centered = g_normed / std[:, None]
         g_std = (-g_normed * centered / (std * std)[:, None]).sum(axis=1)
         g_sq = (g_std * 0.5 / std / d)[:, None] * centered
@@ -537,7 +517,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         _accumulate(x, g_centered)
         _accumulate(x, np.broadcast_to(((-g_centered).sum(axis=1) / d)[:, None], x.shape))
 
-    return _record(normed * gain_rows.data + bias_rows.data, (x, gain_rows, bias_rows), backward)
+    return _record(normed * gain.data + bias.data, (x, gain, bias), backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -588,28 +568,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return _record(out, (q, k, v), backward)
 
 
-def gru_step(x: Tensor, h: Tensor, hc_bias_rows: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
+def gru_step(x: Tensor, h: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
     """One gated-recurrent step over the rows of ``x`` and ``h``.
 
-    ``weights`` is ``(Wxu, bxu, Whu, bhu, Wxr, bxr, Whr, bhr, Wxc, bxc, Whc)``;
-    the candidate's hidden-side bias comes in tiled, as ``hc_bias_rows``.
+    ``weights`` is ``(Wxu, bxu, Whu, bhu, Wxr, bxr, Whr, bhr, Wxc, bxc, Whc,
+    bhc)``.
 
     update u = sigm(x Wxu + bxu + h Whu + bhu), reset r = sigm(x Wxr + bxr
-    + h Whr + bhr), candidate c = tanh(x Wxc + bxc + (r*h) Whc + hc_bias_rows),
+    + h Whr + bhr), candidate c = tanh(x Wxc + bxc + (r*h) Whc + bhc),
     out = (1-u)*h + u*c.
     """
-    wxu, bxu, whu, bhu, wxr, bxr, whr, bhr, wxc, bxc, whc = weights
+    wxu, bxu, whu, bhu, wxr, bxr, whr, bhr, wxc, bxc, whc, bhc = weights
     if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0] or x.shape[1] != wxu.shape[0]:
         raise ShapeError(f"gru_step expects (n,d_in) and (n,d) rows, got {x.shape} and {h.shape}")
-    if hc_bias_rows.shape != h.shape:
-        raise ShapeError(
-            f"gru_step hc bias rows must have shape {h.shape}, got {hc_bias_rows.shape}"
-        )
     xd, hd = x.data, h.data
     u = 1.0 / (1.0 + np.exp(-((xd @ wxu.data + bxu.data) + (hd @ whu.data + bhu.data))))
     r = 1.0 / (1.0 + np.exp(-((xd @ wxr.data + bxr.data) + (hd @ whr.data + bhr.data))))
     rh = r * hd
-    cand = np.tanh((xd @ wxc.data + bxc.data) + (rh @ whc.data + hc_bias_rows.data))
+    cand = np.tanh((xd @ wxc.data + bxc.data) + (rh @ whc.data + bhc.data))
     keep = 1.0 - u
 
     def backward(g):
@@ -620,25 +596,23 @@ def gru_step(x: Tensor, h: Tensor, hc_bias_rows: Tensor, weights: tuple[Tensor, 
         g_sc = g * u * (1.0 - cand * cand)
         g_rh = g_sc @ whc.data.T
         g_sr = g_rh * hd * r * (1.0 - r)
-        # into x: the update gate's share, then the candidate's, then the
-        # reset gate's; into h: keep, update, r*h, reset
-        _accumulate(x, g_su @ wxu.data.T)
-        if h.requires_grad:
-            _accumulate(h, g_su @ whu.data.T)
+        # into x: the candidate's share, then the reset gate's, then the
+        # update gate's; into h: keep, r*h, reset, update
         _accumulate(x, g_sc @ wxc.data.T)
         if h.requires_grad:
             _accumulate(h, g_rh * r)
         _accumulate(x, g_sr @ wxr.data.T)
         if h.requires_grad:
             _accumulate(h, g_sr @ whr.data.T)
+        _accumulate(x, g_su @ wxu.data.T)
+        if h.requires_grad:
+            _accumulate(h, g_su @ whu.data.T)
         for w_in, inp, b, g_pre in (
             (wxu, xd, bxu, g_su), (whu, hd, bhu, g_su),
             (wxr, xd, bxr, g_sr), (whr, hd, bhr, g_sr),
-            (wxc, xd, bxc, g_sc),
+            (wxc, xd, bxc, g_sc), (whc, rh, bhc, g_sc),
         ):
             _accumulate(w_in, inp.T @ g_pre)
             _accumulate(b, g_pre.sum(axis=0))
-        _accumulate(whc, rh.T @ g_sc)
-        _accumulate(hc_bias_rows, g_sc)
 
-    return _record(keep * hd + u * cand, (x, h, hc_bias_rows, *weights), backward)
+    return _record(keep * hd + u * cand, (x, h, *weights), backward)

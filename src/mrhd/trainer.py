@@ -45,6 +45,11 @@ class PredictionFormatError(ValueError):
     """A prediction file or record is malformed or does not fit its query."""
 
 
+class NonFiniteOutputError(ValueError):
+    """The model's spans or scores for a query are not finite: its params
+    overflow on the query's features."""
+
+
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite; message carries the step and breakdown."""
 
@@ -213,6 +218,10 @@ def forward(
     h = cooperate.highlight_head(joint, params, config.heads)
     z_hat = cooperate.hd2mr(joint, h, params, config.heads)
     decoded = cooperate.moment_decoder(z_hat, params, config.heads, config.decoder_layers)
+    if not (
+        np.isfinite(decoded.center_width.data).all() and np.isfinite(decoded.scores.data).all()
+    ):
+        raise NonFiniteOutputError(f"qid {sample.qid}: the model's spans are not finite")
     spans = cooperate.decode_spans(decoded, sample.duration)
     h_bar = cooperate.mr2hd(p.v_hat, joint, z_hat, spans[0][:2], sample.clip_len, params)
     prediction = cooperate.MomentPrediction(spans=spans, highlight=h_bar.data.copy())
@@ -498,6 +507,8 @@ def load_checkpoint(path) -> Checkpoint:
                     f"{path}: {kind} array {name} has shape {list(arr.shape)},"
                     f" the model needs {list(shapes[name])}"
                 )
+            if not np.isfinite(arr).all():
+                raise CheckpointFormatError(f"{path}: {kind} array {name} holds non-finite values")
     params = {
         name: Tensor(arr, requires_grad=True) for name, arr in stores["param"].items()
     }
@@ -587,6 +598,10 @@ def predict(ckpt: Checkpoint, dataset: Dataset, out_path=None) -> list[dict]:
     records = []
     for sample, bundle in dataset.samples:
         res = forward(sample, bundle, params, ckpt.config, mode="infer")
+        if not np.isfinite(res.prediction.highlight).all():
+            raise NonFiniteOutputError(
+                f"qid {sample.qid}: the model's highlight scores are not finite"
+            )
         records.append(
             {
                 "qid": sample.qid,

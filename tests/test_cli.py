@@ -237,6 +237,49 @@ def test_checkpoint_of_another_shape_exits_one(tiny_dir, tmp_path, caplog, edit,
     assert message in caplog.text
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("decoder.span.w", float("nan"), "param array decoder.span.w holds non-finite values"),
+        # finite params whose products overflow
+        ("proj_v.ln.g", 1e300, "qid 0: the model's spans are not finite"),
+        ("refine_out.w", 1e308, "qid 0: the model's highlight scores are not finite"),
+    ],
+)
+def test_checkpoint_that_gives_non_finite_outputs_exits_one(tiny_dir, tmp_path, caplog, name, value, message):
+    from mrhd import trainer
+
+    data_dir, train_cfg = tiny_dir
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--config", str(train_cfg), "--data", str(data_dir),
+                     "--out", str(ckpt)]) == 0
+    loaded = trainer.load_checkpoint(ckpt)
+    loaded.params[name].data[...] = value
+    trainer.save_checkpoint(loaded, ckpt)
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir)]) == 1
+    assert cli.main(["predict", "--ckpt", str(ckpt), "--data", str(data_dir),
+                     "--out", str(tmp_path / "p.jsonl")]) == 1
+    assert caplog.text.count(message) == 2
+    assert not (tmp_path / "p.jsonl").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_saturated_span_head_evaluates(tiny_dir, tmp_path):
+    """Huge span-head weights saturate its sigmoid: every span decodes to
+    zero width at an edge of the video, which MR2HD still reads."""
+    from mrhd import trainer
+
+    data_dir, train_cfg = tiny_dir
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--config", str(train_cfg), "--data", str(data_dir),
+                     "--out", str(ckpt)]) == 0
+    loaded = trainer.load_checkpoint(ckpt)
+    loaded.params["decoder.span.w"].data[...] = 1e300
+    trainer.save_checkpoint(loaded, ckpt)
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir)]) == 0
+
+
 def _entry(header, kind, name):
     return next(e for e in header["arrays"] if e["kind"] == kind and e["name"] == name)
 

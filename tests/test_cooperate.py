@@ -197,6 +197,8 @@ def test_span_to_clip_range_clamps():
     assert C.span_to_clip_range(1.0, 1.5, 2.0, 4) == (0, 1)
     assert C.span_to_clip_range(7.9, 8.0, 2.0, 4) == (3, 4)
     assert C.span_to_clip_range(-3.0, 9.0, 2.0, 4) == (0, 4)
+    assert C.span_to_clip_range(8.0, 8.0, 2.0, 4) == (3, 4)  # touches the end
+    assert C.span_to_clip_range(0.0, 0.0, 2.0, 4) == (0, 1)
     with pytest.raises(ContractError):
         C.span_to_clip_range(9.0, 12.0, 2.0, 4)
     with pytest.raises(ContractError):

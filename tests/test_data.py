@@ -185,6 +185,13 @@ def test_validation_names_line_number(tmp_path):
         load_dataset(p, tmp_path)
 
 
+def test_non_utf8_annotations_rejected(tmp_path):
+    p = tmp_path / "ann.jsonl"
+    p.write_bytes(b'{"qid": 1, "vid": "\xfb"}\n')
+    with pytest.raises(ValidationError, match="ann.jsonl: not UTF-8"):
+        load_dataset(p, tmp_path)
+
+
 def test_missing_feature_file_names_ids(tmp_path):
     p = tmp_path / "ann.jsonl"
     rec = {

@@ -58,6 +58,7 @@ def test_item_requires_single_element():
         lambda: T.softmax(Tensor(np.ones((2, 2))), axis=2),
         lambda: T.reshape(Tensor(np.ones((2, 3))), (4, 2)),
         lambda: T.concat([], axis=0),
+        lambda: T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((2,)))),
     ],
 )
 def test_shape_violations_raise(bad):
@@ -79,6 +80,29 @@ def test_deep_chain_does_not_hit_recursion_limit():
         y = T.add_scalar(y, 1e-6)
     T.tsum(y).backward()
     assert np.allclose(x.grad, 1.0)
+
+
+@pytest.mark.parametrize(
+    "combine",
+    [
+        lambda one, big, neg: T.add(T.add(one, big), neg),
+        lambda one, big, neg: T.add(one, T.add(big, neg)),
+        lambda one, big, neg: T.add(neg, T.add(one, big)),
+        lambda one, big, neg: T.add(T.add(neg, big), one),
+    ],
+    ids=["left-fold", "right-fold", "last-outside", "creation-reversed"],
+)
+def test_backward_adds_contributions_in_reverse_creation_order(combine):
+    """Three contributions into one leaf whose float sum depends on the
+    order: the consumers are created in one order and combined in another,
+    and the leaf's grad is the sum taken last-created first, whatever the
+    shape of the graph that combines them."""
+    x = Tensor(np.array([1.0]), requires_grad=True)
+    one, big, neg = T.scale(x, 1.0), T.scale(x, 1e16), T.scale(x, -1e16)
+    T.tsum(combine(one, big, neg)).backward()
+    in_reverse_creation_order = (np.float64(-1e16) + 1e16) + 1.0
+    assert in_reverse_creation_order != (np.float64(1.0) + 1e16) + -1e16
+    assert x.grad.tobytes() == np.array([in_reverse_creation_order]).tobytes()
 
 
 def test_gather_rows_accumulates_repeats():
