@@ -150,19 +150,20 @@ def decode_spans(out: DecoderOutput, duration: float) -> list[tuple[float, float
 # GRU and reverse hand-off
 
 
-# ``T.gru_step``'s weights, in its order.
+# The GRU's parameters under ``gru.``, in the order ``T.gru`` takes them.
 _GRU_WEIGHTS = (
     "xu.w", "xu.b", "hu.w", "hu.b", "xr.w", "xr.b", "hr.w", "hr.b", "xc.w", "xc.b", "hc.w", "hc.b"
 )
 
 
 def gru_cell(x: Tensor, hidden: Tensor, params: dict) -> Tensor:
-    """One gated-recurrent step over (1, d) row vectors.
+    """Run the GRU over the rows of ``x`` in turn from the (1, d) state
+    ``hidden``, and return the last state (one graph node for the chain).
 
-    update u = sigm(Wu x + Uu h), reset r = sigm(Wr x + Ur h),
-    candidate c = tanh(Wc x + Uc (r*h)), out = (1-u)*h + u*c.
+    Per row: update u = sigm(Wu x + Uu h), reset r = sigm(Wr x + Ur h),
+    candidate c = tanh(Wc x + Uc (r*h)), h <- (1-u)*h + u*c.
     """
-    return T.gru_step(x, hidden, tuple(params[f"gru.{name}"] for name in _GRU_WEIGHTS))
+    return T.gru(x, hidden, tuple(params[f"gru.{name}"] for name in _GRU_WEIGHTS))
 
 
 def span_to_clip_range(start: float, end: float, clip_len: float, num_clips: int) -> tuple[int, int]:
@@ -192,18 +193,15 @@ def mr2hd(
 ) -> Tensor:
     """Refined highlight scores from the retrieved moment.
 
-    A GRU (zero initial state) summarizes the top span's rows of the
-    projected clip features; every clip is scored by cosine similarity
-    against that summary; the softmaxed similarities re-weight the
-    enhanced features, which are added back to the joint features and
-    mapped to one score per clip.
+    One GRU chain (zero initial state, one graph node) summarizes the top
+    span's rows of the projected clip features; every clip is scored by
+    cosine similarity against that summary; the softmaxed similarities
+    re-weight the enhanced features, which are added back to the joint
+    features and mapped to one score per clip.
     """
     length, d = v_hat.shape
     i0, i1 = span_to_clip_range(top_span[0], top_span[1], clip_len, length)
-    moment_rows = T.slice_rows(v_hat, i0, i1)
-    hidden = Tensor(np.zeros((1, d)))
-    for t in range(i1 - i0):
-        hidden = gru_cell(T.slice_rows(moment_rows, t, t + 1), hidden, params)
+    hidden = gru_cell(T.slice_rows(v_hat, i0, i1), Tensor(np.zeros((1, d))), params)
 
     dots = T.reshape(T.matmul(v_hat, T.transpose(hidden)), (length,))
     norm_prod = T.mul(row_norms(v_hat), row_norms(hidden))

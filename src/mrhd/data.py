@@ -206,6 +206,7 @@ def load_dataset(annotations_path, feature_dir) -> Dataset:
     feature_dir = Path(feature_dir)
     ds = Dataset()
     vfeat_cache: dict[str, np.ndarray] = {}
+    first_widths: dict[str, int | None] = {}
     for sample in load_annotations(annotations_path):
         vpath = feature_dir / f"{sample.vid}.vfeat"
         tpath = feature_dir / f"{sample.qid}.tfeat"
@@ -232,9 +233,18 @@ def load_dataset(annotations_path, feature_dir) -> Dataset:
             )
         if text.shape[0] < 1:
             raise ValidationError(f"{where}: text features need at least one token row")
-        for name, arr in (("visual", visual), ("text", text), ("audio", audio)):
+        named = (("visual", vpath, visual), ("text", tpath, text), ("audio", apath, audio))
+        for name, path, arr in named:
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{where}: non-finite values in {name} features")
+            # the model's input widths come from the first sample
+            width = None if arr is None else arr.shape[1]
+            first = first_widths.setdefault(name, width)
+            if width != first:
+                raise ValidationError(
+                    f"{where}: {name} features at {path} have width {width or 'none (no file)'}, "
+                    f"the first sample's have width {first or 'none (no file)'}"
+                )
         ds.samples.append((sample, FeatureBundle(visual=visual, text=text, audio=audio)))
     return ds
 

@@ -147,8 +147,9 @@ def kernel_suite(seeds: range | list[int], h: float = 1e-5) -> dict[str, float]:
         kv = [rng.standard_normal((n, k)), rng.standard_normal((n, k))]
         for heads in (1, 2):
             run(f"attention_{heads}h", lambda ts: T.attention(ts[0], ts[1], ts[2], heads), [a, *kv])
-        # x and h, then Wxu, bxu, ..., Whc, bhc at width 2
-        rows = [rng.standard_normal((1, 2)) for _ in range(2)]
+        # a 3-row chain from a state that requires grad, then Wxu, bxu, ...,
+        # Whc, bhc at width 2
+        chain = [rng.standard_normal((3, 2)), rng.standard_normal((1, 2))]
         weights = [rng.standard_normal((2, 2) if i % 2 == 0 else 2) for i in range(12)]
-        run("gru_step", lambda ts: T.gru_step(ts[0], ts[1], tuple(ts[2:])), rows + weights)
+        run("gru", lambda ts: T.gru(ts[0], ts[1], tuple(ts[2:])), chain + weights)
     return worst

@@ -23,20 +23,28 @@ in which its consumers were created, whatever the graph's shape.
 
 Four fused kernels stand in for the compositions the model runs most:
 ``affine`` (a linear layer), ``layer_norm``, ``attention`` (every head of
-a multi-head attention) and ``gru_step``. Each gives the same bits, in its
-outputs and in every gradient, as the primitive composition it replaces;
-``tests/test_fused.py`` compares them byte for byte. A fused node takes one
-number where the composition took a run of consecutive ones, so its
-closure runs where theirs did, and two rules are left:
+a multi-head attention) and ``gru`` (a whole GRU chain, one step per row,
+as one node). Each gives the same bits, in its outputs and in every
+gradient, as the primitive composition it replaces; ``tests/test_fused.py``
+compares them byte for byte. A fused node takes one number where the
+composition took a run of consecutive ones, so its closure runs where
+theirs did, and two rules are left:
 
 1. A fused backward adds into each input in the order the primitive
    graph's closures do, one ``_accumulate`` per contribution, never a
    pre-summed one (float addition of three or more terms depends on the
-   order).
-2. Operands keep the layouts the primitive kernels gave them (head
-   slices copied to C order, the transposed key copied as ``transpose``
-   did), since a BLAS call on another layout may sum in another order;
-   and signed zeros come out as the primitive scatter left them.
+   order). ``gru`` sums a weight's per-step contributions with one
+   ``np.add.reduce`` along axis 0 of a contiguous stack ``[existing grad,
+   step T-1, ..., step 0]``, which adds them one after another, in that
+   order, as the steps' ``+=`` chain did.
+2. Operands keep the layouts and shapes the primitive kernels gave them
+   (head slices copied to C order, the transposed key copied as
+   ``transpose`` did, each GRU step's (1, d) @ (d, d) product made on its
+   own or over a (T, 1, d) stack, which numpy runs as one BLAS call per
+   row; one (T, d) @ (d, d) product differs from the row products in the
+   last bits), since a BLAS call on another layout or shape may sum in
+   another order; and signed zeros come out as the primitive scatter left
+   them.
 """
 
 from __future__ import annotations
@@ -568,51 +576,103 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return _record(out, (q, k, v), backward)
 
 
-def gru_step(x: Tensor, h: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
-    """One gated-recurrent step over the rows of ``x`` and ``h``.
+def gru(x: Tensor, h: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
+    """A gated-recurrent chain over the rows of ``x``, from the (1, d) state
+    ``h``; returns the last state, one node for the whole chain.
 
     ``weights`` is ``(Wxu, bxu, Whu, bhu, Wxr, bxr, Whr, bhr, Wxc, bxc, Whc,
-    bhc)``.
+    bhc)``. Row ``x_t`` steps the state:
 
-    update u = sigm(x Wxu + bxu + h Whu + bhu), reset r = sigm(x Wxr + bxr
-    + h Whr + bhr), candidate c = tanh(x Wxc + bxc + (r*h) Whc + bhc),
-    out = (1-u)*h + u*c.
+    update u = sigm(x_t Wxu + bxu + h Whu + bhu), reset r = sigm(x_t Wxr +
+    bxr + h Whr + bhr), candidate c = tanh(x_t Wxc + bxc + (r*h) Whc + bhc),
+    h <- (1-u)*h + u*c.
+
+    The chain gives the bits of one primitive step per row slice (rules 1
+    and 2 of the module docstring): every (1, d) row product is made alone
+    or in a stack of (1, d) rows, in the forward and in the ``x`` and ``h``
+    gradients, and the weight and bias gradients of all steps are summed in
+    one reduce over a stack built in reverse step order.
     """
     wxu, bxu, whu, bhu, wxr, bxr, whr, bhr, wxc, bxc, whc, bhc = weights
-    if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0] or x.shape[1] != wxu.shape[0]:
-        raise ShapeError(f"gru_step expects (n,d_in) and (n,d) rows, got {x.shape} and {h.shape}")
-    xd, hd = x.data, h.data
-    u = 1.0 / (1.0 + np.exp(-((xd @ wxu.data + bxu.data) + (hd @ whu.data + bhu.data))))
-    r = 1.0 / (1.0 + np.exp(-((xd @ wxr.data + bxr.data) + (hd @ whr.data + bhr.data))))
-    rh = r * hd
-    cand = np.tanh((xd @ wxc.data + bxc.data) + (rh @ whc.data + bhc.data))
+    d = whu.shape[0]
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != wxu.shape[0] or h.shape != (1, d):
+        raise ShapeError(f"gru expects (n,d_in) rows and a (1,d) state, got {x.shape} and {h.shape}")
+    steps = x.shape[0]
+    xd = x.data
+    rows = xd.reshape(steps, 1, -1)
+    # The x side of every step at once: a matmul over a stack of (1, d_in)
+    # rows makes each row's product as its own call would.
+    x_ur = np.stack([rows @ wxu.data + bxu.data, rows @ wxr.data + bxr.data], axis=1)
+    x_c = rows @ wxc.data + bxc.data
+    w_ur = np.stack([whu.data, whr.data])
+    b_ur = np.stack([bhu.data, bhr.data])[:, None, :]
+    hs = np.empty((steps + 1, 1, d))  # hs[t] is the state before row t
+    hs[0] = h.data
+    ur = np.empty((steps, 2, 1, d))  # the update and reset gates
+    cand, rh = np.empty((steps, 1, d)), np.empty((steps, 1, d))
+    for t in range(steps):
+        ht, ur_t, rh_t, c_t = hs[t], ur[t], rh[t], cand[t]
+        np.divide(1.0, 1.0 + np.exp(-(x_ur[t] + (ht @ w_ur + b_ur))), out=ur_t)
+        u_t = ur_t[0]
+        np.multiply(ur_t[1], ht, out=rh_t)
+        np.tanh(x_c[t] + (rh_t @ whc.data + bhc.data), out=c_t)
+        np.add((1.0 - u_t) * ht, u_t * c_t, out=hs[t + 1])
+    u, r = ur[:, 0], ur[:, 1]
     keep = 1.0 - u
 
     def backward(g):
-        if h.requires_grad:
-            _accumulate(h, g * keep)
-        g_u = g * hd * -1.0 + g * cand
-        g_su = g_u * u * (1.0 - u)
-        g_sc = g * u * (1.0 - cand * cand)
-        g_rh = g_sc @ whc.data.T
-        g_sr = g_rh * hd * r * (1.0 - r)
-        # into x: the candidate's share, then the reset gate's, then the
-        # update gate's; into h: keep, r*h, reset, update
-        _accumulate(x, g_sc @ wxc.data.T)
-        if h.requires_grad:
-            _accumulate(h, g_rh * r)
-        _accumulate(x, g_sr @ wxr.data.T)
-        if h.requires_grad:
-            _accumulate(h, g_sr @ whr.data.T)
-        _accumulate(x, g_su @ wxu.data.T)
-        if h.requires_grad:
-            _accumulate(h, g_su @ whu.data.T)
-        for w_in, inp, b, g_pre in (
-            (wxu, xd, bxu, g_su), (whu, hd, bhu, g_su),
-            (wxr, xd, bxr, g_sr), (whr, hd, bhr, g_sr),
-            (wxc, xd, bxc, g_sc), (whc, rh, bhc, g_sc),
+        w_ru_t = np.stack([whr.data, whu.data]).transpose(0, 2, 1)  # whr.T, whu.T
+        whc_t = whc.data.T
+        d_cand = 1.0 - cand * cand
+        d_r = 1.0 - r
+        g_pre = np.empty((steps, 3, 1, d))  # grads of the reset, update, candidate pre-activations
+        for t in range(steps - 1, -1, -1):
+            ht, u_t, r_t, keep_t, g_t = hs[t], u[t], r[t], keep[t], g_pre[t]
+            np.multiply((g * cand[t] - g * ht) * u_t, keep_t, out=g_t[1])
+            np.multiply(g * u_t, d_cand[t], out=g_t[2])
+            g_rh = g_t[2] @ whc_t
+            np.multiply(g_rh * ht * r_t, d_r[t], out=g_t[0])
+            if t == 0 and not h.requires_grad:  # mr2hd's zero start
+                break
+            # into the state: keep, r*h, reset, update
+            reset, update = g_t[:2] @ w_ru_t
+            shares = (g * keep_t, g_rh * r_t, reset, update)
+            if t == 0:
+                for share in shares:
+                    _accumulate(h, share)
+            else:
+                g = shares[0]
+                for share in shares[1:]:
+                    g += share
+        g_r, g_u, g_c = g_pre[:, 0], g_pre[:, 1], g_pre[:, 2]
+        # per row: the candidate's share, then the reset gate's, then the update gate's
+        gx = g_c @ wxc.data.T
+        gx += g_r @ wxr.data.T
+        gx += g_u @ wxu.data.T
+        if steps > 1:  # the per-step row scatters summed zero rows in: -0.0 -> +0.0
+            gx += 0.0
+        _accumulate(x, gx.reshape(xd.shape))
+        x_rev, h_rev, rh_rev = xd[::-1], hs[-2::-1, 0], rh[::-1, 0]
+        g_u, g_r, g_c = g_u[::-1, 0], g_r[::-1, 0], g_c[::-1, 0]
+        buf = np.empty((steps + 1) * (max(xd.shape[1], d) + 1) * d)
+        for w, b, inp, g_w in (
+            (wxu, bxu, x_rev, g_u), (whu, bhu, h_rev, g_u),
+            (wxr, bxr, x_rev, g_r), (whr, bhr, h_rev, g_r),
+            (wxc, bxc, x_rev, g_c), (whc, bhc, rh_rev, g_c),
         ):
-            _accumulate(w_in, inp.T @ g_pre)
-            _accumulate(b, g_pre.sum(axis=0))
+            n = inp.shape[1]
+            # per step, W's outer product in rows [:n] and b's row in row n
+            # (einsum's outer products equal the (n,1)x(1,d) matmuls bit for
+            # bit); -0.0 stands in for a grad not made yet, as -0.0 + v == v
+            stack = buf[: (steps + 1) * (n + 1) * d].reshape(steps + 1, n + 1, d)
+            stack[0, :n] = -0.0 if w.grad is None else w.grad
+            stack[0, n] = -0.0 if b.grad is None else b.grad
+            np.einsum("ti,tj->tij", inp, g_w, out=stack[1:, :n])
+            stack[1:, n] = g_w
+            total = np.add.reduce(stack, axis=0)
+            if w.requires_grad:
+                w.grad = total[:n]
+            if b.requires_grad:
+                b.grad = total[n]
 
-    return _record(keep * hd + u * cand, (x, h, *weights), backward)
+    return _record(hs[steps].copy(), (x, h, *weights), backward)

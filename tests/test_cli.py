@@ -293,8 +293,22 @@ def test_config_field_of_wrong_type_exits_one(tiny_dir, tmp_path, caplog):
     assert "config field 'epochs' must be int, got '3'" in caplog.text
 
 
-def test_internal_error_exits_two(tiny_dir, tmp_path, capsys):
-    """Dims that differ across samples slip past loading and blow up inside."""
+def test_internal_error_exits_two(tiny_dir, tmp_path, monkeypatch):
+    """A bug inside the program, not a malformed input, exits 2."""
+    data_dir, train_cfg = tiny_dir
+    from mrhd import trainer
+
+    def broken_train(config, dataset):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(trainer, "train", broken_train)
+    code = cli.main(["train", "--config", str(train_cfg), "--data", str(data_dir),
+                     "--out", str(tmp_path / "m.ckpt")])
+    assert code == 2
+
+
+def test_feature_width_mismatch_exits_one(tiny_dir, tmp_path, caplog):
+    """A .tfeat narrower than the first sample's is refused when loading."""
     data_dir, train_cfg = tiny_dir
     import numpy as np
     from mrhd.data import read_features, write_features
@@ -304,7 +318,8 @@ def test_internal_error_exits_two(tiny_dir, tmp_path, capsys):
     write_features(tfeat, np.ascontiguousarray(arr[:, :-1]))
     code = cli.main(["train", "--config", str(train_cfg), "--data", str(data_dir),
                      "--out", str(tmp_path / "m.ckpt")])
-    assert code == 2
+    assert code == 1
+    assert "1.tfeat have width 9, the first sample's have width 10" in caplog.text
 
 
 def test_gradcheck_deterministic(capsys):

@@ -1,5 +1,7 @@
 """Cooperation module: highlight head, hand-offs, decoder, GRU."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,30 @@ def test_gru_step_matches_scalar_oracle():
     cand = np.tanh(lin(x, "gru.xc") + lin(r * h, "gru.hc"))
     want = (1 - u) * h + u * cand
     assert np.allclose(got, want, atol=1e-12)
+
+
+def test_gru_chain_matches_scalar_oracle_loop():
+    """Five rows through one ``gru_cell`` call against a per-element loop."""
+    params = _params(seed=14)
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((5, D))
+    h0 = rng.standard_normal((1, D))
+    got = C.gru_cell(Tensor(x), Tensor(h0), params).data
+
+    def lin(v, name, j):
+        w, b = params[f"gru.{name}.w"].data, params[f"gru.{name}.b"].data
+        return sum(v[i] * w[i, j] for i in range(D)) + b[j]
+
+    sig = lambda a: 1.0 / (1.0 + math.exp(-a))
+    h = list(h0[0])
+    for row in x:
+        u = [sig(lin(row, "xu", j) + lin(h, "hu", j)) for j in range(D)]
+        r = [sig(lin(row, "xr", j) + lin(h, "hr", j)) for j in range(D)]
+        rh = [r[j] * h[j] for j in range(D)]
+        cand = [math.tanh(lin(row, "xc", j) + lin(rh, "hc", j)) for j in range(D)]
+        h = [(1 - u[j]) * h[j] + u[j] * cand[j] for j in range(D)]
+    assert got.shape == (1, D)
+    assert np.allclose(got[0], h, atol=1e-12)
 
 
 def test_span_to_clip_range_clamps():

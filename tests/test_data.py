@@ -305,3 +305,24 @@ def test_duplicate_qid_rejected(tmp_path):
     p.write_text(json.dumps(rec) + "\n" + json.dumps(rec) + "\n")
     with pytest.raises(ValidationError, match="duplicate qid"):
         load_dataset(p, tmp_path)
+
+
+@pytest.mark.parametrize("suffix", ["tfeat", "vfeat", "afeat"])
+def test_feature_width_differing_from_first_sample_rejected(tmp_path, suffix):
+    ds = synth_generate(SynthConfig(num_samples=3, num_clips=4, d_v=5, d_t=4, d_a=3), seed=4)
+    write_dataset(ds, tmp_path)
+    sample, _ = ds.samples[2]
+    path = tmp_path / f"{sample.qid if suffix == 'tfeat' else sample.vid}.{suffix}"
+    arr = read_features(path)
+    write_features(path, np.ascontiguousarray(arr[:, :-1]))
+    width = arr.shape[1]
+    with pytest.raises(ValidationError, match=rf"{path.name} have width {width - 1}, .* width {width}"):
+        load_dataset(tmp_path / "annotations.jsonl", tmp_path)
+
+
+def test_audio_missing_after_first_sample_rejected(tmp_path):
+    ds = synth_generate(SynthConfig(num_samples=2, num_clips=4, d_a=3), seed=5)
+    write_dataset(ds, tmp_path)
+    (tmp_path / f"{ds.samples[1][0].vid}.afeat").unlink()
+    with pytest.raises(ValidationError, match="audio features .* width none"):
+        load_dataset(tmp_path / "annotations.jsonl", tmp_path)

@@ -49,7 +49,7 @@ def ref_linear(x, params, prefix):
     return T.add(T.matmul(x, params[f"{prefix}.w"]), T.broadcast_rows(b, x.shape[0]))
 
 
-def ref_gru_cell(x, hidden, params):
+def ref_gru_step(x, hidden, params):
     u = T.sigmoid(T.add(ref_linear(x, params, "gru.xu"), ref_linear(hidden, params, "gru.hu")))
     r = T.sigmoid(T.add(ref_linear(x, params, "gru.xr"), ref_linear(hidden, params, "gru.hr")))
     cand = T.tanh(
@@ -57,6 +57,13 @@ def ref_gru_cell(x, hidden, params):
     )
     keep = T.mul(T.add_scalar(T.scale(u, -1.0), 1.0), hidden)
     return T.add(keep, T.mul(u, cand))
+
+
+def ref_gru_cell(x, hidden, params):
+    """One primitive step per row of ``x``, each on its own row slice."""
+    for t in range(x.shape[0]):
+        hidden = ref_gru_step(T.slice_rows(x, t, t + 1), hidden, params)
+    return hidden
 
 
 def _leaves(arrays: dict) -> dict:
@@ -92,6 +99,34 @@ def _gru_params(rng, d):
     return {name: rng.standard_normal(p.shape) for name, p in params.items()}
 
 
+@pytest.mark.parametrize("rows", [1, 2, 7, 75])
+@pytest.mark.parametrize("start", ["zero", "trained"])
+def test_gru_chain_matches_primitive_steps_on_row_blocks(rows, start):
+    """One chain over a block of rows, from a zero state or from a state
+    that requires grad and also feeds a consumer made after the chain.
+    Byte equality of every grad covers its signed zeros; some inputs are
+    zeros of either sign."""
+    d = 8
+    rng = np.random.default_rng(rows)
+    arrays = _gru_params(rng, d)
+    arrays["clips"] = rng.standard_normal((rows, d))
+    arrays["clips"][0, :2] = (-0.0, 0.0)
+    if start == "trained":
+        arrays["h0"] = rng.standard_normal((1, d))
+        arrays["h0"][0, 0] = -0.0
+
+    def build(cell):
+        def run(leaves):
+            h0 = leaves.get("h0", Tensor(np.zeros((1, d))))
+            hidden = cell(leaves["clips"], h0, leaves)
+            scores = T.reshape(T.matmul(leaves["clips"], T.transpose(hidden)), (rows,))
+            return T.concat([scores, T.tsum(T.mul(hidden, h0), axis=1)], axis=0)
+
+        return run
+
+    _assert_same(_run(build(C.gru_cell), arrays), _run(build(ref_gru_cell), arrays))
+
+
 @pytest.mark.parametrize("lengths", [(3, 4), (5, 3)])
 def test_gru_chain_matches_primitive_steps(lengths):
     """Two samples' chains through shared weights; each final hidden also
@@ -107,9 +142,7 @@ def test_gru_chain_matches_primitive_steps(lengths):
             outputs = []
             for s, n in enumerate(lengths):
                 clips = leaves[f"clips{s}"]
-                hidden = Tensor(np.zeros((1, d)))
-                for t in range(n):
-                    hidden = cell(T.slice_rows(clips, t, t + 1), hidden, leaves)
+                hidden = cell(clips, Tensor(np.zeros((1, d))), leaves)
                 scores = T.reshape(T.matmul(clips, T.transpose(hidden)), (n,))
                 outputs += [scores, T.tsum(T.mul(hidden, hidden), axis=1)]
             return T.concat(outputs, axis=0)
@@ -268,5 +301,5 @@ def test_fused_kernels_record_one_node_each(monkeypatch):
     assert len(recorded) == 1
     recorded.clear()
     params = {name: Tensor(a) for name, a in _gru_params(rng, 4).items()}
-    C.gru_cell(T.slice_rows(x, 0, 1), Tensor(np.zeros((1, 4))), params)
-    assert len(recorded) == 2  # the step and the row slice
+    C.gru_cell(Tensor(rng.standard_normal((5, 4)), requires_grad=True), Tensor(np.zeros((1, 4))), params)
+    assert len(recorded) == 1  # the whole 5-row chain
