@@ -130,8 +130,12 @@ def read_features(path) -> np.ndarray:
 
 
 def _validate_sample(s: QuerySample, where: str) -> None:
-    if s.duration <= 0 or s.clip_len <= 0:
-        raise ValidationError(f"{where}: duration and clip_len must be positive")
+    if not (0 < s.duration < math.inf and 0 < s.clip_len < math.inf):
+        raise ValidationError(f"{where}: duration and clip_len must be positive and finite")
+    if s.duration / s.clip_len > _MAX_ELEMENTS:
+        raise ValidationError(f"{where}: duration / clip_len is over 2**30 clips")
+    if not s.relevant_windows:
+        raise ValidationError(f"{where}: relevant_windows is empty")
     for w in s.relevant_windows:
         if len(w) != 2:
             raise ValidationError(f"{where}: windows are [start, end] pairs, got {w}")
@@ -157,21 +161,47 @@ def _validate_sample(s: QuerySample, where: str) -> None:
                 raise ValidationError(f"{where}: rating {r} outside -1..4")
 
 
-def _sample_from_record(rec: dict, where: str) -> QuerySample:
+def _is_number(x) -> bool:
+    return type(x) in (int, float)
+
+
+def _lists_of(x, item_check) -> bool:
+    return type(x) is list and all(type(row) is list and all(map(item_check, row)) for row in x)
+
+
+# Each record field with the check its JSON value must pass: no value is
+# coerced, so a bool or a float is not read as an int.
+_RECORD_FIELDS = (
+    ("qid", lambda x: type(x) is int, "an int"),
+    ("vid", lambda x: type(x) is str, "a string"),
+    ("query", lambda x: type(x) is str, "a string"),
+    ("duration", _is_number, "a number"),
+    ("clip_len", _is_number, "a number"),
+    ("relevant_windows", lambda x: _lists_of(x, _is_number), "a list of [start, end] numbers"),
+    ("saliency_scores", lambda x: _lists_of(x, lambda r: type(r) is int), "a list of int lists"),
+)
+
+
+def _sample_from_record(rec, where: str) -> QuerySample:
+    if not isinstance(rec, dict):
+        raise ValidationError(f"{where}: expected a JSON object, got {type(rec).__name__}")
+    for key, check, kind in _RECORD_FIELDS:
+        if key not in rec:
+            raise ValidationError(f"{where}: malformed record (missing {key!r})")
+        if not check(rec[key]):
+            raise ValidationError(f"{where}: {key} must be {kind}, got {rec[key]!r}")
     try:
         sample = QuerySample(
-            qid=int(rec["qid"]),
-            vid=str(rec["vid"]),
-            query_text=str(rec["query"]),
+            qid=rec["qid"],
+            vid=rec["vid"],
+            query_text=rec["query"],
             duration=float(rec["duration"]),
             clip_len=float(rec["clip_len"]),
-            relevant_windows=tuple(
-                (float(w[0]), float(w[1])) for w in rec["relevant_windows"]
-            ),
-            saliency=tuple(tuple(int(r) for r in row) for row in rec["saliency_scores"]),
+            relevant_windows=tuple(tuple(map(float, w)) for w in rec["relevant_windows"]),
+            saliency=tuple(map(tuple, rec["saliency_scores"])),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ValidationError(f"{where}: malformed record ({exc})") from exc
+    except OverflowError as exc:  # an int too large for a float
+        raise ValidationError(f"{where}: {exc}") from None
     _validate_sample(sample, where)
     return sample
 
@@ -191,7 +221,7 @@ def load_annotations(path) -> list[QuerySample]:
         where = f"line {lineno}"
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int of over 4300 digits
             raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
         sample = _sample_from_record(rec, where)
         if sample.qid in seen_qids:

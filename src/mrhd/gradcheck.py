@@ -18,7 +18,7 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-def check_gradients(build, arrays: list[np.ndarray], h: float = 1e-5) -> float:
+def check_gradients(build, arrays: list[np.ndarray]) -> float:
     """Max scaled mismatch between backprop and central differences.
 
     ``build`` takes a list of Tensors (one per entry of ``arrays``, each
@@ -33,6 +33,7 @@ def check_gradients(build, arrays: list[np.ndarray], h: float = 1e-5) -> float:
         for leaf in leaves
     ]
 
+    h = 1e-5
     worst = 0.0
     for which, base in enumerate(arrays):
         flat = base.reshape(-1)
@@ -49,38 +50,23 @@ def check_gradients(build, arrays: list[np.ndarray], h: float = 1e-5) -> float:
     return worst
 
 
-class _RandomLoss:
-    """Contract an output against a frozen random array to get a scalar.
-
-    A plain sum would zero out gradient structure that cancels across
-    elements; a random projection catches sign and permutation bugs. The
-    projection is drawn once at construction so repeated calls (as made
-    by the finite-difference probes) see the same loss function.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._frozen: Tensor | None = None
-
-    def __call__(self, out: Tensor) -> Tensor:
-        if self._frozen is None:
-            self._frozen = Tensor(self._rng.standard_normal(out.shape))
-        return T.tsum(T.mul(out, self._frozen))
-
-
-def _away_from_kinks(x: np.ndarray, points: list[float], margin: float = 1e-3) -> np.ndarray:
-    """Nudge entries that sit within ``margin`` of a non-differentiable point."""
+def _away_from_kinks(x: np.ndarray, points: list[float]) -> np.ndarray:
+    """Move entries within 1e-3 of a non-differentiable point to 3e-3 from it."""
     out = x.copy()
     for p in points:
-        close = np.abs(out - p) < margin
-        out[close] = p + margin * np.where(out[close] >= p, 3.0, -3.0)
+        close = np.abs(out - p) < 1e-3
+        out[close] = p + 1e-3 * np.where(out[close] >= p, 3.0, -3.0)
     return out
 
 
-def kernel_suite(seeds: range | list[int], h: float = 1e-5) -> dict[str, float]:
+def kernel_suite(seeds: range | list[int]) -> dict[str, float]:
     """Run every kernel through ``check_gradients`` across many seeds.
 
-    Returns a mapping from kernel name to its worst error over all seeds.
+    Each kernel's output is contracted against a random array of its shape
+    to get a scalar: a plain sum would zero out gradient structure that
+    cancels across elements, and a random projection catches sign and
+    permutation bugs. Returns a mapping from kernel name to its worst error
+    over all seeds.
     """
     worst: dict[str, float] = {}
 
@@ -94,8 +80,9 @@ def kernel_suite(seeds: range | list[int], h: float = 1e-5) -> dict[str, float]:
         pos = rng.uniform(0.5, 2.0, size=(m, k))
 
         def run(name: str, op, arrays):
-            loss = _RandomLoss(np.random.default_rng(seed * 1000 + len(worst)))
-            err = check_gradients(lambda ts: loss(op(ts)), arrays, h=h)
+            shape = op([Tensor(x) for x in arrays]).shape
+            frozen = Tensor(np.random.default_rng(seed * 1000 + len(worst)).standard_normal(shape))
+            err = check_gradients(lambda ts: T.tsum(T.mul(op(ts), frozen)), arrays)
             worst[name] = max(worst.get(name, 0.0), err)
 
         run("matmul", lambda ts: T.matmul(ts[0], ts[1]), [a, b])

@@ -30,13 +30,15 @@ from .cooperate import DecoderOutput
 from .data import QuerySample
 from .tensor import ContractError, Tensor
 
+MAX_SALIENCY_PAIRS = 16
+SALIENCY_MARGIN = 0.2
+
 
 @dataclass
 class MatchResult:
     """One-to-one assignment of predictions to ground-truth windows."""
 
     pairs: list[tuple[int, int]]  # (prediction index, ground-truth index)
-    unmatched: list[int]  # prediction indices left unassigned
 
 
 @dataclass
@@ -124,9 +126,7 @@ def hungarian_match(cost: np.ndarray) -> MatchResult:
         (j - 1, assigned[j] - 1) for j in range(1, m + 1) if assigned[j] != 0
     )
     pairs.sort(key=lambda pg: pg[1])
-    matched_preds = {p for p, _ in pairs}
-    unmatched = [j for j in range(num_pred) if j not in matched_preds]
-    return MatchResult(pairs=pairs, unmatched=unmatched)
+    return MatchResult(pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -241,25 +241,24 @@ def rating_means(sample: QuerySample) -> np.ndarray:
     return means
 
 
-def saliency_pairs(sample: QuerySample, seed: int, max_pairs: int = 16) -> list[tuple[int, int]]:
-    """(high, low) clip index pairs with mean-rating gap >= 1, capped by
-    seeded sampling. Pairs come in row-major (high, low) order, which the
-    seeded subset indexes into."""
+def saliency_pairs(sample: QuerySample, seed: int) -> list[tuple[int, int]]:
+    """(high, low) clip index pairs with mean-rating gap >= 1, capped at
+    ``MAX_SALIENCY_PAIRS`` by seeded sampling. Pairs come in row-major
+    (high, low) order, which the seeded subset indexes into."""
     means = rating_means(sample)
     valid = ~np.isnan(means)
     mask = valid[:, None] & valid[None, :] & (means[:, None] - means[None, :] >= 1.0)
     high, low = np.nonzero(mask)
-    if high.size > max_pairs:
+    if high.size > MAX_SALIENCY_PAIRS:
         rng = np.random.default_rng([seed, sample.qid])
-        keep = np.sort(rng.choice(high.size, size=max_pairs, replace=False))
+        keep = np.sort(rng.choice(high.size, size=MAX_SALIENCY_PAIRS, replace=False))
         high, low = high[keep], low[keep]
     return list(zip(high.tolist(), low.tolist()))
 
 
-def saliency_loss(
-    h: Tensor, h_bar: Tensor, sample: QuerySample, seed: int, margin: float = 0.2
-) -> Tensor:
-    """Margin ranking hinge over sampled clip pairs, summed across both heads.
+def saliency_loss(h: Tensor, h_bar: Tensor, sample: QuerySample, seed: int) -> Tensor:
+    """Margin ranking hinge (margin ``SALIENCY_MARGIN``) over sampled clip
+    pairs, summed across both heads.
 
     Each head's hinge is averaged over the pairs still inside the margin,
     not over all sampled pairs: most pairs (inside versus outside the
@@ -276,7 +275,8 @@ def saliency_loss(
 
     def hinge(scores: Tensor) -> Tensor:
         gap = T.add_scalar(
-            T.sub(T.gather_rows(scores, low_idx), T.gather_rows(scores, high_idx)), margin
+            T.sub(T.gather_rows(scores, low_idx), T.gather_rows(scores, high_idx)),
+            SALIENCY_MARGIN,
         )
         violated = int(np.count_nonzero(gap.data > 0.0))
         return T.scale(T.tsum(T.relu(gap)), 1.0 / max(violated, 1))

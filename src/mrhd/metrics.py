@@ -22,7 +22,6 @@ listed order when ranked.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain
 
@@ -56,9 +55,6 @@ class EvalReport:
                 out[key] = value
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -68,9 +64,12 @@ def average_precision(hits: np.ndarray, num_positives: np.ndarray) -> np.ndarray
     """All-points interpolated AP of every row of a (rows, ranks) hit matrix.
 
     Each hit adds the best precision at its rank or any deeper one, over
-    the row's positive count; a row with no positives scores 0.
+    the row's positive count; a row with no positives scores 0. The matrix
+    is made C-contiguous first: numpy sums the rows of a strided view in
+    another order, so a row's value would depend on the layout of the
+    matrix it came in.
     """
-    hits = np.asarray(hits, dtype=bool)
+    hits = np.ascontiguousarray(hits, dtype=bool)
     num_positives = np.asarray(num_positives, dtype=np.float64)
     precision = np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1)
     best = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
@@ -116,10 +115,10 @@ def _greedy_hits(ious: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return hits
 
 
-def _mr_tables(preds, gts, thresholds) -> tuple[np.ndarray, np.ndarray]:
-    """Per query: AP at each threshold, (T, Q), and the best IoU of the
-    top-scored span with any window, (Q,)."""
-    thresholds = np.asarray(thresholds, dtype=np.float64)
+def _mr_tables(preds, gts) -> tuple[np.ndarray, np.ndarray]:
+    """Per query: AP at each of the T thresholds, (T, Q), and the best IoU
+    of the top-scored span with any window, (Q,)."""
+    thresholds = np.asarray(MR_MAP_THRESHOLDS, dtype=np.float64)
     ap = np.zeros((len(thresholds), len(preds)))
     top_iou = np.zeros(len(preds))
     for (_, num_windows), pos in _groups((len(p), len(g)) for p, g in zip(preds, gts)).items():
@@ -170,83 +169,16 @@ def _hd_tables(pred_scores, samples) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return hd_ap, hit, top5
 
 
-def _map_summary(ap: np.ndarray, thresholds) -> tuple[float, float, float]:
+def _map_summary(ap: np.ndarray) -> tuple[float, float, float]:
     """(mAP at 0.5, mAP at 0.75, mean over all thresholds) of a (T, Q) AP table."""
     per_threshold = ap.mean(axis=1)
-    by_thr = dict(zip(thresholds, per_threshold.tolist()))
+    by_thr = dict(zip(MR_MAP_THRESHOLDS, per_threshold.tolist()))
     return by_thr[0.5], by_thr[0.75], float(np.mean(per_threshold))
 
 
 def _mean_defined(values: np.ndarray) -> float | None:
     defined = values[~np.isnan(values)]
     return float(np.mean(defined)) if len(defined) else None
-
-
-# ---------------------------------------------------------------------------
-# per-query entry points
-
-
-def temporal_iou(a, b) -> float:
-    """Intersection over union of two (start, end) intervals in seconds."""
-    s1, e1 = float(a[0]), float(a[1])
-    s2, e2 = float(b[0]), float(b[1])
-    if e1 <= s1 or e2 <= s2:
-        raise ContractError(f"zero-length interval in IoU: {a} vs {b}")
-    inter = max(0.0, min(e1, e2) - max(s1, s2))
-    union = (e1 - s1) + (e2 - s2) - inter
-    return inter / union
-
-
-def _check_nonempty(preds: list[list], gts: list[list]) -> None:
-    if len(preds) != len(gts):
-        raise ContractError("need one prediction list per query")
-    for spans, windows in zip(preds, gts):
-        if len(spans) == 0:
-            raise ContractError("every query needs at least one prediction")
-        if len(windows) == 0:
-            raise ContractError("every query needs at least one ground truth")
-
-
-def recall_at_1(preds: list[list], gts: list[list], threshold: float) -> float:
-    """Fraction of queries whose best-scored span clears the IoU threshold
-    against any ground-truth window."""
-    _check_nonempty(preds, gts)
-    _, top_iou = _mr_tables(preds, gts, ())
-    return int((top_iou >= threshold).sum()) / len(preds)
-
-
-def ap_from_flags(tp_flags: list[bool], num_positives: int) -> float:
-    """All-points interpolated AP from ranked true-positive flags."""
-    return float(average_precision(np.asarray(tp_flags, dtype=bool)[None, :], [num_positives])[0])
-
-
-def mr_map(
-    preds: list[list], gts: list[list], thresholds=MR_MAP_THRESHOLDS
-) -> tuple[float, float, float]:
-    """(mAP at 0.5, mAP at 0.75, mean over all thresholds)."""
-    _check_nonempty(preds, gts)
-    if not preds:
-        return 0.0, 0.0, 0.0
-    return _map_summary(_mr_tables(preds, gts, thresholds)[0], thresholds)
-
-
-def hd_metrics(pred_scores, sample: QuerySample) -> tuple[float, float] | None:
-    """Per-query highlight quality: (mean AP, mean HIT@1) over annotators.
-
-    An annotator counts only if they rated some clip 4; a query where no
-    annotator did has no defined value and returns None.
-    """
-    hd_ap, hit, _ = _hd_tables([pred_scores], [sample])
-    if np.isnan(hd_ap[0]):
-        return None
-    return float(hd_ap[0]), float(hit[0])
-
-
-def top5_map(pred_scores, sample: QuerySample) -> float | None:
-    """AP over the five best-scored clips only, positives counted within
-    that list; annotators with no positive anywhere are skipped."""
-    top5 = _hd_tables([pred_scores], [sample])[2]
-    return None if np.isnan(top5[0]) else float(top5[0])
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +196,13 @@ def evaluate(results: list[tuple[QuerySample, list, list]]) -> EvalReport:
     samples = [sample for sample, _, _ in results]
     preds = [spans for _, spans, _ in results]
     gts = [sample.relevant_windows for sample in samples]
-    _check_nonempty(preds, gts)
-    ap, top_iou = _mr_tables(preds, gts, MR_MAP_THRESHOLDS)
-    map_050, map_075, map_avg = _map_summary(ap, MR_MAP_THRESHOLDS)
+    for spans, windows in zip(preds, gts):
+        if len(spans) == 0:
+            raise ContractError("every query needs at least one prediction")
+        if len(windows) == 0:
+            raise ContractError("every query needs at least one ground truth")
+    ap, top_iou = _mr_tables(preds, gts)
+    map_050, map_075, map_avg = _map_summary(ap)
     hd_ap, hit, top5 = _hd_tables([scores for _, _, scores in results], samples)
     return EvalReport(
         r1_050=int((top_iou >= 0.5).sum()) / len(results),

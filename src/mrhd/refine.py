@@ -17,22 +17,12 @@ sinusoidal position table used elsewhere in the model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .align import ProjectedFeatures, apply_layer_norm, init_layer_norm, init_linear, linear
 from .tensor import ContractError, Tensor
-
-
-@dataclass
-class CrossSimilarity:
-    """Clip-word score matrix with its row- and column-stochastic forms."""
-
-    a: Tensor
-    a_row: Tensor
-    a_col: Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -70,29 +60,27 @@ def init_refine_params(params: dict, rng: np.random.Generator, d: int):
 # operations
 
 
-def cross_similarity(p: ProjectedFeatures, params: dict) -> CrossSimilarity:
-    """Scaled product of linearly mapped clips and words, (L, N), with
-    row-softmax and column-softmax variants."""
+def cross_similarity(p: ProjectedFeatures, params: dict) -> tuple[Tensor, Tensor]:
+    """Scaled product of linearly mapped clips and words, (L, N), in its
+    row-softmax and column-softmax forms."""
     d = p.v_hat.shape[1]
     scores = T.scale(
         T.matmul(linear(p.v_hat, params, "cross.v"), T.transpose(linear(p.t_hat, params, "cross.t"))),
         1.0 / math.sqrt(d),
     )
-    return CrossSimilarity(
-        a=scores,
-        a_row=T.softmax(scores, axis=1),
-        a_col=T.softmax(scores, axis=0),
-    )
+    return T.softmax(scores, axis=1), T.softmax(scores, axis=0)
 
 
-def bidirectional_attend(cs: CrossSimilarity, p: ProjectedFeatures) -> tuple[Tensor, Tensor]:
+def bidirectional_attend(
+    a_row: Tensor, a_col: Tensor, p: ProjectedFeatures
+) -> tuple[Tensor, Tensor]:
     """Clip-to-word attention and its word-to-clip round trip.
 
     The first stream mixes word vectors per clip; the second routes clip
     vectors through the word axis and back.
     """
-    f_v2q = T.matmul(cs.a_row, p.t_hat)
-    f_q2v = T.matmul(T.matmul(cs.a_row, T.transpose(cs.a_col)), p.v_hat)
+    f_v2q = T.matmul(a_row, p.t_hat)
+    f_q2v = T.matmul(T.matmul(a_row, T.transpose(a_col)), p.v_hat)
     return f_v2q, f_q2v
 
 

@@ -494,8 +494,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(x.data @ w.data + b.data, (x, w, b), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization to zero mean and unit variance, then affine.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row normalization to zero mean and unit variance (1e-5 added to
+    the variance), then affine.
 
     The backward adds into ``x`` twice, first the centring's share and then
     the mean's, as the chain of primitive kernels it replaces does.
@@ -508,7 +509,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
         )
     centered = x.data - np.mean(x.data, axis=1)[:, None]
-    std = np.sqrt(np.mean(centered * centered, axis=1) + eps)
+    std = np.sqrt(np.mean(centered * centered, axis=1) + 1e-5)
     normed = centered / std[:, None]
 
     def backward(g):

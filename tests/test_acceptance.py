@@ -86,15 +86,17 @@ def _oracle_ap(flags, num_positives):
     return ap
 
 
+def _oracle_iou(a, b):
+    inter = max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
+    return inter / ((a[1] - a[0]) + (b[1] - b[0]) - inter)
+
+
 def _oracle_query_ap(spans, windows, threshold):
     order = sorted(range(len(spans)), key=lambda i: -spans[i][2])
     left = list(range(len(windows)))
     flags = []
     for i in order:
-        cands = [
-            (metrics.temporal_iou(spans[i][:2], windows[j]), j)
-            for j in left
-        ]
+        cands = [(_oracle_iou(spans[i][:2], windows[j]), j) for j in left]
         cands = [c for c in cands if c[0] >= threshold]
         if cands:
             best = max(cands, key=lambda c: c[0])
@@ -105,23 +107,28 @@ def _oracle_query_ap(spans, windows, threshold):
     return _oracle_ap(flags, len(windows))
 
 
-def _rating_sample(ratings, qid=0):
+def _query_sample(ratings, windows):
     from mrhd.data import QuerySample
 
     return QuerySample(
-        qid=qid,
-        vid=f"v{qid}",
+        qid=0,
+        vid="v0",
         query_text="q",
         duration=2.0 * len(ratings),
         clip_len=2.0,
-        relevant_windows=((0.0, 2.0),),
+        relevant_windows=tuple(windows),
         saliency=tuple(tuple(r) for r in ratings),
     )
 
 
 def test_criterion_3_metric_oracles():
     start = time.monotonic()
-    assert abs(metrics.temporal_iou((0.0, 10.0), (5.0, 15.0)) - 1.0 / 3.0) < 1e-12
+    # IoU of [0, 10] and [2.5, 10] is 0.75: it clears the six thresholds
+    # 0.50 ... 0.75 of the ten
+    hand_sample = _query_sample([[0]] * 5, [(2.5, 10.0)])
+    hand = metrics.evaluate([(hand_sample, [(0.0, 10.0, 1.0)], [0.0] * 5)])
+    assert hand.map_050 == hand.map_075 == 1.0
+    assert abs(hand.map_avg - 0.6) < 1e-12
     g = losses.giou_1d(
         Tensor([[0.0]]), Tensor([[0.2]]), Tensor([[0.8]]), Tensor([[1.0]])
     ).item()
@@ -138,16 +145,15 @@ def test_criterion_3_metric_oracles():
         for _ in range(n_gt):
             s = rng.uniform(0, 30)
             windows.append((s, s + rng.uniform(1, 10)))
-        got050, got075, _ = metrics.mr_map([spans], [windows])
-        assert abs(got050 - _oracle_query_ap(spans, windows, 0.5)) < 1e-12
-        assert abs(got075 - _oracle_query_ap(spans, windows, 0.75)) < 1e-12
-
-        # highlight metrics against the same oracle per annotator
+        # highlight metrics of the same query against the same oracle per
+        # annotator
         L, n_ann = int(rng.integers(2, 10)), int(rng.integers(1, 4))
         ratings = [[int(x) for x in rng.integers(0, 5, size=n_ann)] for _ in range(L)]
-        sample = _rating_sample(ratings)
         scores = rng.standard_normal(L)
-        got = metrics.hd_metrics(scores, sample)
+        report = metrics.evaluate([(_query_sample(ratings, windows), spans, scores)])
+        assert abs(report.map_050 - _oracle_query_ap(spans, windows, 0.5)) < 1e-12
+        assert abs(report.map_075 - _oracle_query_ap(spans, windows, 0.75)) < 1e-12
+
         mat = np.array(ratings)
         order = np.argsort(-scores, kind="stable")
         aps = [
@@ -156,11 +162,11 @@ def test_criterion_3_metric_oracles():
             if (mat[:, a] == 4).any()
         ]
         if aps:
-            assert got is not None and abs(got[0] - float(np.mean(aps))) < 1e-12
+            assert report.hd_map is not None and abs(report.hd_map - float(np.mean(aps))) < 1e-12
         else:
-            assert got is None
+            assert report.hd_map is None
 
-        got5 = metrics.top5_map(scores, sample)
+        got5 = report.top5_map
         top = [int(i) for i in order[:5]]
         aps5 = []
         for a in range(n_ann):
@@ -186,11 +192,11 @@ def _overfit_misses(records, data):
         sample = by_qid[rec["qid"]]
         spans = rec["pred_relevant_windows"]
         windows = list(sample.relevant_windows)
-        hd = metrics.hd_metrics(rec["pred_saliency_scores"], sample)
-        hit_missed = hd is not None and hd[1] < 1.0
-        if metrics.recall_at_1([spans], [windows], 0.5) == 1.0 and not hit_missed:
+        one = metrics.evaluate([(sample, spans, rec["pred_saliency_scores"])])
+        hit_missed = one.hit_at_1 is not None and one.hit_at_1 < 1.0
+        if one.r1_050 == 1.0 and not hit_missed:
             continue
-        hit = "n/a" if hd is None else f"{hd[1]:.3f}"
+        hit = "n/a" if one.hit_at_1 is None else f"{one.hit_at_1:.3f}"
         top = int(np.argsort(-np.asarray(rec["pred_saliency_scores"]), kind="stable")[0])
         rated_4 = [i for i, r in enumerate(sample.saliency) if 4 in r]
         start, end, score = spans[0]
@@ -280,8 +286,8 @@ def test_criterion_6_weight_sharing(tmp_path):
     positioned = align.ProjectedFeatures(
         v_hat=refine.add_positions(p.v_hat), t_hat=p.t_hat
     )
-    sim = refine.cross_similarity(positioned, params)
-    f_v2q, f_q2v = refine.bidirectional_attend(sim, positioned)
+    a_row, a_col = refine.cross_similarity(positioned, params)
+    f_v2q, f_q2v = refine.bidirectional_attend(a_row, a_col, positioned)
     joint = refine.cross_attention_fusion(
         refine.fuse(positioned, f_v2q, f_q2v, params), p.t_hat, params
     )

@@ -1,6 +1,7 @@
 """CLI: exit codes, JSON emission, and wiring between subcommands."""
 
 import json
+import math
 
 import pytest
 
@@ -144,6 +145,36 @@ def test_eval_uneven_annotator_counts_exits_one(tiny_dir, tmp_path, caplog):
     assert f"qid {recs[1]['qid']} clip 2 has 2 ratings" in caplog.text
 
 
+def _set_rating(rec, value):
+    rec["saliency_scores"][0][0] = value
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda r: r.update(relevant_windows=[]), "relevant_windows is empty", id="no-windows"),
+        pytest.param(lambda r: r.update(duration=math.nan), "must be positive and finite", id="duration-nan"),
+        pytest.param(lambda r: r.update(duration=math.inf), "must be positive and finite", id="duration-inf"),
+        pytest.param(lambda r: r.update(clip_len=math.nan), "must be positive and finite", id="clip_len-nan"),
+        pytest.param(lambda r: r.update(qid=1.9), "qid must be an int, got 1.9", id="qid-float"),
+        pytest.param(lambda r: _set_rating(r, 3.9), "saliency_scores must be", id="rating-float"),
+        pytest.param(lambda r: _set_rating(r, "4"), "saliency_scores must be", id="rating-string"),
+        pytest.param(lambda r: _set_rating(r, True), "saliency_scores must be", id="rating-bool"),
+    ],
+)
+def test_malformed_annotation_exits_one(tiny_dir, tmp_path, caplog, edit, message):
+    """Each of these loaded before, and train then exited 2 or trained on
+    coerced values."""
+    data_dir, train_cfg = tiny_dir
+    ann = data_dir / "annotations.jsonl"
+    recs = [json.loads(line) for line in ann.read_text().splitlines()]
+    edit(recs[0])
+    ann.write_text("".join(json.dumps(r) + "\n" for r in recs))  # json writes NaN, Infinity
+    assert cli.main(["train", "--config", str(train_cfg), "--data", str(data_dir),
+                     "--out", str(tmp_path / "m.ckpt")]) == 1
+    assert "line 1: " in caplog.text and message in caplog.text
+
+
 def test_eval_of_malformed_predictions_exits_one(tiny_dir, tmp_path, caplog, monkeypatch):
     """A record the metrics cannot score is a user error naming the qid."""
     from mrhd import trainer
@@ -241,7 +272,7 @@ def test_checkpoint_of_another_shape_exits_one(tiny_dir, tmp_path, caplog, edit,
 @pytest.mark.parametrize(
     "name, value, message",
     [
-        ("decoder.span.w", float("nan"), "param array decoder.span.w holds non-finite values"),
+        ("decoder.span.w", math.nan, "param array decoder.span.w holds non-finite values"),
         # finite params whose products overflow
         ("proj_v.ln.g", 1e300, "qid 0: the model's spans are not finite"),
         ("refine_out.w", 1e308, "qid 0: the model's highlight scores are not finite"),
@@ -291,6 +322,28 @@ def test_config_field_of_wrong_type_exits_one(tiny_dir, tmp_path, caplog):
     assert cli.main(["train", "--config", str(cfg), "--data", str(data_dir),
                      "--out", str(tmp_path / "m.ckpt")]) == 1
     assert "config field 'epochs' must be int, got '3'" in caplog.text
+
+
+def test_config_with_an_int_of_5000_digits_exits_one(tiny_dir, tmp_path, caplog):
+    data_dir, _ = tiny_dir
+    cfg = tmp_path / "huge.json"
+    cfg.write_text('{"epochs": ' + "1" * 5000 + "}")
+    assert cli.main(["train", "--config", str(cfg), "--data", str(data_dir),
+                     "--out", str(tmp_path / "m.ckpt")]) == 1
+    assert "config is not valid JSON" in caplog.text
+
+
+def test_checkpoint_header_with_an_int_of_5000_digits_exits_one(tiny_dir, tmp_path, caplog):
+    data_dir, train_cfg = tiny_dir
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--config", str(train_cfg), "--data", str(data_dir),
+                     "--out", str(ckpt)]) == 0
+    raw = ckpt.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    blob = b'{"step": ' + b"1" * 5000 + b"}"
+    ckpt.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen :])
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir)]) == 1
+    assert "bad header" in caplog.text
 
 
 def test_internal_error_exits_two(tiny_dir, tmp_path, monkeypatch):

