@@ -18,24 +18,15 @@ convention the rest of the model follows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .data import FeatureBundle
-from .tensor import ShapeError, Tensor
+from .tensor import ContractError, Tensor
 
 EPS_NORM = 1e-8
 EPS_LOG = 1e-12
-
-
-@dataclass
-class ProjectedFeatures:
-    """Clip features (L rows) and word features (N rows) in the shared space."""
-
-    v_hat: Tensor
-    t_hat: Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -53,13 +44,7 @@ def init_linear(params: dict, rng: np.random.Generator, prefix: str, d_in: int, 
 
 
 def linear(x: Tensor, params: dict, prefix: str) -> Tensor:
-    w = params[f"{prefix}.w"]
-    b = params[f"{prefix}.b"]
-    if x.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeError(
-            f"linear '{prefix}' expects input (*, {w.shape[0]}), got {x.shape}"
-        )
-    return T.affine(x, w, b)
+    return T.affine(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
 
 
 def init_layer_norm(params: dict, prefix: str, d: int):
@@ -92,15 +77,13 @@ def _mlp(x: Tensor, params: dict, branch: str) -> Tensor:
     return apply_layer_norm(h, params, f"{branch}.ln")
 
 
-def project(bundle: FeatureBundle, params: dict) -> ProjectedFeatures:
+def project(bundle: FeatureBundle, params: dict) -> tuple[Tensor, Tensor]:
     """Map clip features (audio concatenated when present) and word features
-    into the shared d-dimensional space."""
-    visual = Tensor(bundle.effective_visual())
-    text = Tensor(bundle.text)
-    return ProjectedFeatures(
-        v_hat=_mlp(visual, params, "proj_v"),
-        t_hat=_mlp(text, params, "proj_t"),
-    )
+    into the shared d-dimensional space: (L, d) clips ``v_hat`` and (N, d)
+    words ``t_hat``."""
+    v_hat = _mlp(Tensor(bundle.effective_visual()), params, "proj_v")
+    t_hat = _mlp(Tensor(bundle.text), params, "proj_t")
+    return v_hat, t_hat
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +98,14 @@ def row_norms(x: Tensor) -> Tensor:
     return T.add_scalar(T.sqrt(sumsq), EPS_NORM)
 
 
-def local_similarity(p: ProjectedFeatures) -> tuple[Tensor, Tensor]:
+def local_similarity(v_hat: Tensor, t_hat: Tensor) -> tuple[Tensor, Tensor]:
     """Sigmoid cosine similarity of every clip against every word.
 
     Returns the full (L, N) matrix and its per-clip mean over words.
     """
-    L = p.v_hat.shape[0]
-    dots = T.matmul(p.v_hat, T.transpose(p.t_hat))
-    denom = T.mul(T.reshape(row_norms(p.v_hat), (L, 1)), row_norms(p.t_hat))
+    L = v_hat.shape[0]
+    dots = T.matmul(v_hat, T.transpose(t_hat))
+    denom = T.mul(T.reshape(row_norms(v_hat), (L, 1)), row_norms(t_hat))
     s_loc = T.sigmoid(T.div(dots, denom))
     return s_loc, T.tmean(s_loc, axis=1)
 
@@ -130,7 +113,7 @@ def local_similarity(p: ProjectedFeatures) -> tuple[Tensor, Tensor]:
 def bce_terms(p: Tensor, targets: np.ndarray) -> Tensor:
     """Per-element binary cross-entropy with clamped log arguments."""
     if p.shape != targets.shape:
-        raise ShapeError(f"bce expects matching shapes, got {p.shape} and {targets.shape}")
+        raise ContractError(f"bce expects matching shapes, got {p.shape} and {targets.shape}")
     c = Tensor(np.asarray(targets, dtype=np.float64))
     p_safe = T.clamp(p, EPS_LOG, 1.0 - EPS_LOG)
     one_minus = T.add_scalar(T.scale(p_safe, -1.0), 1.0)
@@ -148,12 +131,12 @@ def local_loss(s_hat: Tensor, clip_relevance: np.ndarray) -> Tensor:
 # global regularizer
 
 
-def pooled_globals(p: ProjectedFeatures) -> tuple[Tensor, Tensor]:
+def pooled_globals(v_hat: Tensor, t_hat: Tensor) -> tuple[Tensor, Tensor]:
     """Mean over clips and mean over words, each reshaped to a (1, d) row."""
-    d = p.v_hat.shape[1]
+    d = v_hat.shape[1]
     return (
-        T.reshape(T.tmean(p.v_hat, axis=0), (1, d)),
-        T.reshape(T.tmean(p.t_hat, axis=0), (1, d)),
+        T.reshape(T.tmean(v_hat, axis=0), (1, d)),
+        T.reshape(T.tmean(t_hat, axis=0), (1, d)),
     )
 
 
@@ -165,7 +148,7 @@ def global_loss(v_globals: Tensor, t_globals: Tensor) -> Tensor:
     batch of one gives 0 by construction.
     """
     if v_globals.shape != t_globals.shape or v_globals.ndim != 2:
-        raise ShapeError(
+        raise ContractError(
             f"global_loss expects matching (B, d) inputs, got {v_globals.shape} and {t_globals.shape}"
         )
     b = v_globals.shape[0]

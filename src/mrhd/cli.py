@@ -101,22 +101,15 @@ def _load_dir(path) -> "trainer.Dataset":
 
 
 def _train_config(args) -> trainer.TrainConfig:
-    if args.config:
-        cfg = trainer.TrainConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
-    else:
-        cfg = trainer.TrainConfig()
-    if getattr(args, "seed", None) is not None:
+    cfg = trainer.read_config(args.config, trainer.TrainConfig, "config")
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     cfg.validate()
     return cfg
 
 
 def _cmd_synth(args) -> int:
-    if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        cfg = SynthConfig(**trainer._typed_fields(SynthConfig, raw, "generator config"))
-    else:
-        cfg = SynthConfig()
+    cfg = trainer.read_config(args.config, SynthConfig, "generator config")
     ds = synth_generate(cfg, args.seed)
     write_dataset(ds, args.out)
     _emit({"out": str(args.out), "num_samples": len(ds), "seed": args.seed}, None)

@@ -34,14 +34,6 @@ SHARED_PREFIX = "shared_attn"
 
 
 @dataclass
-class DecoderOutput:
-    """Differentiable decoder products: normalized spans and foreground scores."""
-
-    center_width: Tensor  # (M, 2), sigmoid outputs
-    scores: Tensor  # (M,), sigmoid outputs
-
-
-@dataclass
 class MomentPrediction:
     """Final per-query prediction: scored spans in seconds plus clip scores."""
 
@@ -126,24 +118,28 @@ def hd2mr(joint: Tensor, h: Tensor, params: dict, heads: int) -> Tensor:
 # moment decoder
 
 
-def moment_decoder(z_hat: Tensor, params: dict, heads: int, decoder_layers: int) -> DecoderOutput:
+def moment_decoder(
+    z_hat: Tensor, params: dict, heads: int, decoder_layers: int
+) -> tuple[Tensor, Tensor]:
+    """(M, 2) normalized (center, width) spans and (M,) foreground scores."""
     q = params["decoder.queries"]
     for k in range(decoder_layers):
         q = transformer_block(q, params, f"decoder.layer{k}", heads, memory=z_hat)
     m = q.shape[0]
     center_width = T.sigmoid(linear(q, params, "decoder.span"))
     scores = T.reshape(T.sigmoid(linear(q, params, "decoder.cls")), (m,))
-    return DecoderOutput(center_width=center_width, scores=scores)
+    return center_width, scores
 
 
-def decode_spans(out: DecoderOutput, duration: float) -> list[tuple[float, float, float]]:
+def decode_spans(
+    center_width: Tensor, scores: Tensor, duration: float
+) -> list[tuple[float, float, float]]:
     """Materialize (start, end, score) triples in seconds, best first."""
-    cw = out.center_width.data
+    cw = center_width.data
     starts = np.clip((cw[:, 0] - cw[:, 1] / 2.0) * duration, 0.0, duration)
     ends = np.clip((cw[:, 0] + cw[:, 1] / 2.0) * duration, 0.0, duration)
-    scores = out.scores.data
-    order = np.argsort(-scores, kind="stable")
-    return [(float(starts[i]), float(ends[i]), float(scores[i])) for i in order]
+    order = np.argsort(-scores.data, kind="stable")
+    return [(float(starts[i]), float(ends[i]), float(scores.data[i])) for i in order]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ class DatasetLoadError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A synthetic-generation config is degenerate."""
+    """A config, a command-line value or a dataset is unusable (e.g. empty)."""
 
 
 _MAGIC = b"FEATB1\x00\x00"

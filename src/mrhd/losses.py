@@ -26,19 +26,11 @@ import numpy as np
 
 from . import tensor as T
 from .align import bce_terms
-from .cooperate import DecoderOutput
 from .data import QuerySample
 from .tensor import ContractError, Tensor
 
 MAX_SALIENCY_PAIRS = 16
 SALIENCY_MARGIN = 0.2
-
-
-@dataclass
-class MatchResult:
-    """One-to-one assignment of predictions to ground-truth windows."""
-
-    pairs: list[tuple[int, int]]  # (prediction index, ground-truth index)
 
 
 @dataclass
@@ -65,12 +57,13 @@ class LossBreakdown:
 # assignment
 
 
-def hungarian_match(cost: np.ndarray) -> MatchResult:
+def hungarian_match(cost: np.ndarray) -> list[tuple[int, int]]:
     """Minimum-cost one-to-one assignment of G ground truths to M predictions.
 
     ``cost`` is (M, G) with G <= M. Kuhn-Munkres with potentials, O(G*M^2).
     Ties resolve toward lower prediction indices through the strict-less
-    scan order.
+    scan order. Returns the (prediction, ground truth) pairs in
+    ground-truth order.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -122,11 +115,10 @@ def hungarian_match(cost: np.ndarray) -> MatchResult:
             assigned[j0] = assigned[j1]
             j0 = j1
 
-    pairs = sorted(
-        (j - 1, assigned[j] - 1) for j in range(1, m + 1) if assigned[j] != 0
+    return sorted(
+        ((j - 1, assigned[j] - 1) for j in range(1, m + 1) if assigned[j] != 0),
+        key=lambda pg: pg[1],
     )
-    pairs.sort(key=lambda pg: pg[1])
-    return MatchResult(pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +165,11 @@ def windows_to_center_width(windows, duration: float) -> np.ndarray:
 # moment loss
 
 
-def span_cost_and_loss(
-    decoded: DecoderOutput, gt_windows, duration: float, weights: LossWeights
-) -> tuple[np.ndarray, MatchResult, Tensor]:
-    """Pairwise matching cost, the resulting assignment, and the moment loss.
-
-    Cost (numpy, detached): l1 * ||cw_p - cw_g||_1 + giou * (1 - gIoU) - cls * score.
-    Loss (graph): matched-pair means of the L1 and gIoU terms plus a
-    foreground cross-entropy over all M scores (matched -> 1).
-    """
-    gt_cw = windows_to_center_width(gt_windows, duration)
-    cw = decoded.center_width.data
-    scores = decoded.scores.data
-    m = cw.shape[0]
-
+def _span_cost(
+    cw: np.ndarray, scores: np.ndarray, gt_cw: np.ndarray, weights: LossWeights
+) -> np.ndarray:
+    """(M, G) cost of (center, width) predictions against ground truths:
+    l1 * ||cw_p - cw_g||_1 + giou * (1 - gIoU) - cls * score."""
     # (M, 1) predictions against (1, G) ground truths
     c1, w1 = cw[:, 0:1], cw[:, 1:2]
     c2, w2 = gt_cw[None, :, 0], gt_cw[None, :, 1]
@@ -197,13 +180,24 @@ def span_cost_and_loss(
     union = (e1 - s1) + (e2 - s2) - inter
     hull = np.maximum(e1, e2) - np.minimum(s1, s2)
     giou = inter / union - (hull - union) / hull
-    cost = weights.l1 * l1 + weights.giou * (1.0 - giou) - weights.cls * scores[:, None]
+    return weights.l1 * l1 + weights.giou * (1.0 - giou) - weights.cls * scores[:, None]
 
-    match = hungarian_match(cost)
-    pred_order = [p for p, _ in match.pairs]
-    gt_order = [g_ for _, g_ in match.pairs]
 
-    matched_cw = T.gather_rows(decoded.center_width, pred_order)
+def span_cost_and_loss(
+    center_width: Tensor, scores: Tensor, gt_windows, duration: float, weights: LossWeights
+) -> Tensor:
+    """The moment loss of the decoder's (M, 2) spans and (M,) scores.
+
+    Matches by ``_span_cost`` (numpy, detached), then charges (graph) the
+    matched-pair means of the L1 and gIoU terms plus a foreground
+    cross-entropy over all M scores (matched -> 1).
+    """
+    gt_cw = windows_to_center_width(gt_windows, duration)
+    pairs = hungarian_match(_span_cost(center_width.data, scores.data, gt_cw, weights))
+    pred_order = [p for p, _ in pairs]
+    gt_order = [g_ for _, g_ in pairs]
+
+    matched_cw = T.gather_rows(center_width, pred_order)
     target_cw = Tensor(gt_cw[gt_order])
     l1_term = T.tmean(T.tsum(_tabs(T.sub(matched_cw, target_cw)), axis=1))
 
@@ -215,15 +209,14 @@ def span_cost_and_loss(
     gt_e = Tensor((gt_cw[gt_order, 0] + gt_cw[gt_order, 1] / 2)[:, None])
     giou_term = T.tmean(T.add_scalar(T.scale(giou_1d(s_p, e_p, gt_s, gt_e), -1.0), 1.0))
 
-    targets = np.zeros(m)
+    targets = np.zeros(scores.shape[0])
     targets[pred_order] = 1.0
-    cls_term = T.tmean(bce_terms(decoded.scores, targets))
+    cls_term = T.tmean(bce_terms(scores, targets))
 
-    mom = T.add(
+    return T.add(
         T.add(T.scale(l1_term, weights.l1), T.scale(giou_term, weights.giou)),
         T.scale(cls_term, weights.cls),
     )
-    return cost, match, mom
 
 
 # ---------------------------------------------------------------------------

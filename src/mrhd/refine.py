@@ -21,8 +21,8 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .align import ProjectedFeatures, apply_layer_norm, init_layer_norm, init_linear, linear
-from .tensor import ContractError, Tensor
+from .align import apply_layer_norm, init_layer_norm, init_linear, linear
+from .tensor import Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -60,40 +60,40 @@ def init_refine_params(params: dict, rng: np.random.Generator, d: int):
 # operations
 
 
-def cross_similarity(p: ProjectedFeatures, params: dict) -> tuple[Tensor, Tensor]:
+def cross_similarity(v_hat: Tensor, t_hat: Tensor, params: dict) -> tuple[Tensor, Tensor]:
     """Scaled product of linearly mapped clips and words, (L, N), in its
     row-softmax and column-softmax forms."""
-    d = p.v_hat.shape[1]
+    d = v_hat.shape[1]
     scores = T.scale(
-        T.matmul(linear(p.v_hat, params, "cross.v"), T.transpose(linear(p.t_hat, params, "cross.t"))),
+        T.matmul(linear(v_hat, params, "cross.v"), T.transpose(linear(t_hat, params, "cross.t"))),
         1.0 / math.sqrt(d),
     )
     return T.softmax(scores, axis=1), T.softmax(scores, axis=0)
 
 
 def bidirectional_attend(
-    a_row: Tensor, a_col: Tensor, p: ProjectedFeatures
+    a_row: Tensor, a_col: Tensor, v_hat: Tensor, t_hat: Tensor
 ) -> tuple[Tensor, Tensor]:
     """Clip-to-word attention and its word-to-clip round trip.
 
     The first stream mixes word vectors per clip; the second routes clip
     vectors through the word axis and back.
     """
-    f_v2q = T.matmul(a_row, p.t_hat)
-    f_q2v = T.matmul(T.matmul(a_row, T.transpose(a_col)), p.v_hat)
+    f_v2q = T.matmul(a_row, t_hat)
+    f_q2v = T.matmul(T.matmul(a_row, T.transpose(a_col)), v_hat)
     return f_v2q, f_q2v
 
 
-def fuse(p: ProjectedFeatures, f_v2q: Tensor, f_q2v: Tensor, params: dict) -> Tensor:
+def fuse(v_hat: Tensor, t_hat: Tensor, f_v2q: Tensor, f_q2v: Tensor, params: dict) -> Tensor:
     """Five-block concat -> linear back to d.
 
     Blocks: clips, attended words, clip (x) attended-word product, clip (x)
     routed-clip product, and the mean word vector replicated per clip.
     """
-    length = p.v_hat.shape[0]
-    text_global = T.broadcast_rows(T.tmean(p.t_hat, axis=0), length)
+    length = v_hat.shape[0]
+    text_global = T.broadcast_rows(T.tmean(t_hat, axis=0), length)
     stacked = T.concat(
-        [p.v_hat, f_v2q, T.mul(p.v_hat, f_v2q), T.mul(p.v_hat, f_q2v), text_global],
+        [v_hat, f_v2q, T.mul(v_hat, f_v2q), T.mul(v_hat, f_q2v), text_global],
         axis=1,
     )
     return linear(stacked, params, "fuse")
@@ -130,9 +130,6 @@ def multi_head_attention(
     ``q_in`` supplies the queries; ``kv_in`` supplies keys and values.
     Self-attention is the q_in == kv_in case.
     """
-    d = q_in.shape[1]
-    if d % heads != 0:
-        raise ContractError(f"model dim {d} not divisible by {heads} heads")
     q = linear(q_in, params, f"{prefix}.q")
     k = linear(kv_in, params, f"{prefix}.k")
     v = linear(kv_in, params, f"{prefix}.v")

@@ -56,10 +56,6 @@ from operator import attrgetter
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """A kernel was invoked on tensors whose shapes violate its contract."""
-
-
 class ContractError(ValueError):
     """An operation was called outside its documented contract."""
 
@@ -171,7 +167,7 @@ def _broadcast(op, a: Tensor, b: Tensor, name: str) -> np.ndarray:
     try:
         return op(a.data, b.data)
     except ValueError:
-        raise ShapeError(
+        raise ContractError(
             f"{name} expects broadcastable shapes, got {a.shape} and {b.shape}"
         ) from None
 
@@ -195,7 +191,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Standard 2-D matrix product."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul expects (m,k)x(k,n), got {a.shape} and {b.shape}")
+        raise ContractError(f"matmul expects (m,k)x(k,n), got {a.shape} and {b.shape}")
     out_data = a.data @ b.data
 
     def backward(g):
@@ -207,7 +203,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def transpose(x: Tensor) -> Tensor:
     if x.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {x.shape}")
+        raise ContractError(f"transpose expects a 2-D tensor, got {x.shape}")
 
     def backward(g):
         _accumulate(x, g.T)
@@ -335,7 +331,7 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
 def softmax(x: Tensor, axis: int) -> Tensor:
     """Exponentiate-and-normalize along ``axis`` with max subtraction."""
     if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
+        raise ContractError(f"softmax axis {axis} invalid for shape {x.shape}")
     shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / np.sum(e, axis=axis, keepdims=True)
@@ -358,7 +354,7 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
 
         return _record(np.sum(x.data), (x,), backward)
     if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"sum axis {axis} invalid for shape {x.shape}")
+        raise ContractError(f"sum axis {axis} invalid for shape {x.shape}")
 
     def backward_axis(g):
         _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.shape))
@@ -375,7 +371,7 @@ def tmean(x: Tensor, axis: int | None = None) -> Tensor:
 
         return _record(np.mean(x.data), (x,), backward)
     if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"mean axis {axis} invalid for shape {x.shape}")
+        raise ContractError(f"mean axis {axis} invalid for shape {x.shape}")
     n = x.shape[axis]
 
     def backward_axis(g):
@@ -390,7 +386,7 @@ def tmean(x: Tensor, axis: int | None = None) -> Tensor:
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     if int(np.prod(shape)) != x.data.size:
-        raise ShapeError(f"cannot reshape {x.shape} to {shape}")
+        raise ContractError(f"cannot reshape {x.shape} to {shape}")
 
     def backward(g):
         _accumulate(x, g.reshape(x.shape))
@@ -400,10 +396,10 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
     if not tensors:
-        raise ShapeError("concat needs at least one tensor")
+        raise ContractError("concat needs at least one tensor")
     ndim = tensors[0].ndim
     if not -ndim <= axis < ndim:
-        raise ShapeError(f"concat axis {axis} invalid for {ndim}-D tensors")
+        raise ContractError(f"concat axis {axis} invalid for {ndim}-D tensors")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -420,28 +416,26 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     """Contiguous range along axis 0; gradient scatters back, zero elsewhere."""
     if not 0 <= start < stop <= x.shape[0]:
-        raise ShapeError(f"row slice [{start}:{stop}] invalid for shape {x.shape}")
+        raise ContractError(f"row slice [{start}:{stop}] invalid for shape {x.shape}")
 
     def backward(g):
-        if x.requires_grad:
-            z = np.zeros_like(x.data)
-            z[start:stop] = g
-            _accumulate(x, z)
+        z = np.zeros_like(x.data)
+        z[start:stop] = g
+        _accumulate(x, z)
 
     return _record(x.data[start:stop].copy(), (x,), backward)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     if x.ndim != 2:
-        raise ShapeError(f"column slice expects a 2-D tensor, got {x.shape}")
+        raise ContractError(f"column slice expects a 2-D tensor, got {x.shape}")
     if not 0 <= start < stop <= x.shape[1]:
-        raise ShapeError(f"column slice [{start}:{stop}] invalid for shape {x.shape}")
+        raise ContractError(f"column slice [{start}:{stop}] invalid for shape {x.shape}")
 
     def backward(g):
-        if x.requires_grad:
-            z = np.zeros_like(x.data)
-            z[:, start:stop] = g
-            _accumulate(x, z)
+        z = np.zeros_like(x.data)
+        z[:, start:stop] = g
+        _accumulate(x, z)
 
     return _record(x.data[:, start:stop].copy(), (x,), backward)
 
@@ -450,15 +444,14 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     """Pick rows (or elements of a 1-D tensor) by integer index, repeats allowed."""
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
-        raise ShapeError("gather_rows expects a flat index list")
+        raise ContractError("gather_rows expects a flat index list")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ShapeError(f"gather indices out of range for shape {x.shape}")
+        raise ContractError(f"gather indices out of range for shape {x.shape}")
 
     def backward(g):
-        if x.requires_grad:
-            z = np.zeros_like(x.data)
-            np.add.at(z, idx, g)
-            _accumulate(x, z)
+        z = np.zeros_like(x.data)
+        np.add.at(z, idx, g)
+        _accumulate(x, z)
 
     return _record(x.data[idx].copy(), (x,), backward)
 
@@ -466,7 +459,7 @@ def gather_rows(x: Tensor, indices) -> Tensor:
 def broadcast_rows(v: Tensor, n: int) -> Tensor:
     """Tile a length-d vector into an (n, d) matrix, one copy per row."""
     if v.ndim != 1:
-        raise ShapeError(f"broadcast_rows expects a 1-D tensor, got {v.shape}")
+        raise ContractError(f"broadcast_rows expects a 1-D tensor, got {v.shape}")
 
     def backward(g):
         _accumulate(v, g.sum(axis=0))
@@ -481,9 +474,9 @@ def broadcast_rows(v: Tensor, n: int) -> Tensor:
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b``: a linear layer, its bias added to every row."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeError(f"affine expects (m,k)x(k,n), got {x.shape} and {w.shape}")
+        raise ContractError(f"affine expects (m,k)x(k,n), got {x.shape} and {w.shape}")
     if b.shape != (w.shape[1],):
-        raise ShapeError(f"affine bias must have shape {(w.shape[1],)}, got {b.shape}")
+        raise ContractError(f"affine bias must have shape {(w.shape[1],)}, got {b.shape}")
 
     def backward(g):
         if x.requires_grad:
@@ -502,10 +495,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     the mean's, as the chain of primitive kernels it replaces does.
     """
     if x.ndim != 2:
-        raise ShapeError(f"layer_norm expects a 2-D tensor, got {x.shape}")
+        raise ContractError(f"layer_norm expects a 2-D tensor, got {x.shape}")
     d = x.shape[1]
     if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(
+        raise ContractError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
         )
     centered = x.data - np.mean(x.data, axis=1)[:, None]
@@ -537,12 +530,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     in the same columns of the (n_q, d) output.
     """
     if q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
-        raise ShapeError(
+        raise ContractError(
             f"attention expects (n,d), (m,d), (m,d), got {q.shape}, {k.shape}, {v.shape}"
         )
     d = q.shape[1]
     if heads < 1 or d % heads != 0:
-        raise ShapeError(f"attention width {d} is not divisible by {heads} heads")
+        raise ContractError(f"attention width {d} is not divisible by {heads} heads")
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
     cols = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
@@ -597,7 +590,7 @@ def gru(x: Tensor, h: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
     wxu, bxu, whu, bhu, wxr, bxr, whr, bhr, wxc, bxc, whc, bhc = weights
     d = whu.shape[0]
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != wxu.shape[0] or h.shape != (1, d):
-        raise ShapeError(f"gru expects (n,d_in) rows and a (1,d) state, got {x.shape} and {h.shape}")
+        raise ContractError(f"gru expects (n,d_in) rows and a (1,d) state, got {x.shape} and {h.shape}")
     steps = x.shape[0]
     xd = x.data
     rows = xd.reshape(steps, 1, -1)

@@ -104,8 +104,13 @@ class TrainConfig:
     def validate(self) -> None:
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (self.lambda_lg >= 0.0 and math.isfinite(self.lambda_lg)):
-            raise ConfigError(f"lambda_lg must be finite and >= 0, got {self.lambda_lg}")
+        for name, value in (
+            ("learning_rate", self.learning_rate),
+            ("lambda_lg", self.lambda_lg),
+            *((f"weights.{k}", v) for k, v in asdict(self.weights).items()),
+        ):
+            if not (value >= 0.0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.d <= 0:
             raise ConfigError(f"d must be positive, got {self.d}")
         if self.heads < 1 or self.d % self.heads != 0:
@@ -116,8 +121,6 @@ class TrainConfig:
             raise ConfigError("decoder_layers must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -128,15 +131,17 @@ class TrainConfig:
         cfg.validate()
         return cfg
 
-    @classmethod
-    def from_json(cls, text: str) -> "TrainConfig":
-        try:
-            d = json.loads(text)
-        except ValueError as e:  # also an int of over 4300 digits
-            raise ConfigError(f"config is not valid JSON: {e}") from None
-        if not isinstance(d, dict):
-            raise ConfigError("config JSON must be an object")
-        return cls.from_dict(d)
+
+def read_config(path, cls, what: str):
+    """The dataclass ``cls`` from the JSON object in the UTF-8 file ``path``,
+    typed by ``_typed_fields`` (not yet validated); its defaults without one."""
+    if path is None:
+        return cls()
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # not UTF-8, not JSON, or an int of over 4300 digits
+        raise ConfigError(f"{path}: config is not valid JSON ({e})") from None
+    return cls(**_typed_fields(cls, raw, what))
 
 
 # ---------------------------------------------------------------------------
@@ -204,37 +209,35 @@ def forward(
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
 
-    p = align.project(bundle, params)
-    positioned = align.ProjectedFeatures(
-        v_hat=refine.add_positions(p.v_hat), t_hat=p.t_hat
-    )
-    a_row, a_col = refine.cross_similarity(positioned, params)
-    f_v2q, f_q2v = refine.bidirectional_attend(a_row, a_col, positioned)
-    f_v_bar = refine.fuse(positioned, f_v2q, f_q2v, params)
-    joint = refine.cross_attention_fusion(f_v_bar, p.t_hat, params)
+    v_hat, t_hat = align.project(bundle, params)
+    v_pos = refine.add_positions(v_hat)
+    a_row, a_col = refine.cross_similarity(v_pos, t_hat, params)
+    f_v2q, f_q2v = refine.bidirectional_attend(a_row, a_col, v_pos, t_hat)
+    f_v_bar = refine.fuse(v_pos, t_hat, f_v2q, f_q2v, params)
+    joint = refine.cross_attention_fusion(f_v_bar, t_hat, params)
     h = cooperate.highlight_head(joint, params, config.heads)
     z_hat = cooperate.hd2mr(joint, h, params, config.heads)
-    decoded = cooperate.moment_decoder(z_hat, params, config.heads, config.decoder_layers)
-    if not (
-        np.isfinite(decoded.center_width.data).all() and np.isfinite(decoded.scores.data).all()
-    ):
+    center_width, scores = cooperate.moment_decoder(
+        z_hat, params, config.heads, config.decoder_layers
+    )
+    if not (np.isfinite(center_width.data).all() and np.isfinite(scores.data).all()):
         raise NonFiniteOutputError(f"qid {sample.qid}: the model's spans are not finite")
-    spans = cooperate.decode_spans(decoded, sample.duration)
-    h_bar = cooperate.mr2hd(p.v_hat, joint, z_hat, spans[0][:2], sample.clip_len, params)
+    spans = cooperate.decode_spans(center_width, scores, sample.duration)
+    h_bar = cooperate.mr2hd(v_hat, joint, z_hat, spans[0][:2], sample.clip_len, params)
     prediction = cooperate.MomentPrediction(spans=spans, highlight=h_bar.data.copy())
     if mode == "infer":
         return ForwardResult(prediction=prediction)
 
-    _, _, mom = losses.span_cost_and_loss(
-        decoded, sample.relevant_windows, sample.duration, config.weights
+    mom = losses.span_cost_and_loss(
+        center_width, scores, sample.relevant_windows, sample.duration, config.weights
     )
     seed = config.seed if saliency_seed is None else saliency_seed
     high = T.scale(
         losses.saliency_loss(h, h_bar, sample, seed), config.weights.saliency
     )
-    _, s_hat = align.local_similarity(p)
+    _, s_hat = align.local_similarity(v_hat, t_hat)
     local = align.local_loss(s_hat, clip_labels(sample))
-    pooled_v, pooled_t = align.pooled_globals(p)
+    pooled_v, pooled_t = align.pooled_globals(v_hat, t_hat)
     parts = SampleLosses(mom=mom, high=high, local=local, pooled_v=pooled_v, pooled_t=pooled_t)
     return ForwardResult(prediction=prediction, parts=parts)
 
@@ -523,11 +526,8 @@ def train(config: TrainConfig, dataset: Dataset) -> Checkpoint:
     Each step clips the global gradient norm to ``GRAD_CLIP_NORM`` and
     takes an Adam step whose size ``learning_rate_at`` derives from
     ``config.learning_rate`` and the run length, ``epochs`` x batches.
+    ``feature_dims`` and ``init_model`` refuse an empty dataset or a bad config.
     """
-    config.validate()
-    if not dataset.samples:
-        raise ConfigError("dataset is empty")
-
     rng = np.random.default_rng(config.seed)
     d_v, d_t = feature_dims(dataset)
     params = init_model(rng, d_v, d_t, config)

@@ -59,8 +59,7 @@ def test_criterion_2_hungarian_oracle():
     for trial in range(200):
         n = int(rng.integers(1, 7))
         cost = rng.uniform(-5.0, 5.0, size=(n, n))
-        match = losses.hungarian_match(cost)
-        got = sum(cost[p, g] for p, g in match.pairs)
+        got = sum(cost[p, g] for p, g in losses.hungarian_match(cost))
         best = min(
             sum(cost[perm[j], j] for j in range(n))
             for perm in itertools.permutations(range(n))
@@ -282,14 +281,12 @@ def test_criterion_6_weight_sharing(tmp_path):
     # gradient through both call sites = sum of the isolated-path gradients
     params = ckpt.params
     sample, bundle = small.samples[0]
-    p = align.project(bundle, params)
-    positioned = align.ProjectedFeatures(
-        v_hat=refine.add_positions(p.v_hat), t_hat=p.t_hat
-    )
-    a_row, a_col = refine.cross_similarity(positioned, params)
-    f_v2q, f_q2v = refine.bidirectional_attend(a_row, a_col, positioned)
+    v_hat, t_hat = align.project(bundle, params)
+    v_pos = refine.add_positions(v_hat)
+    a_row, a_col = refine.cross_similarity(v_pos, t_hat, params)
+    f_v2q, f_q2v = refine.bidirectional_attend(a_row, a_col, v_pos, t_hat)
     joint = refine.cross_attention_fusion(
-        refine.fuse(positioned, f_v2q, f_q2v, params), p.t_hat, params
+        refine.fuse(v_pos, t_hat, f_v2q, f_q2v, params), t_hat, params
     )
     const_h = Tensor(
         cooperate.highlight_head(joint, params, config.heads).data.copy()

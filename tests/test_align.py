@@ -9,7 +9,7 @@ from mrhd import align
 from mrhd import tensor as T
 from mrhd.data import FeatureBundle
 from mrhd.gradcheck import check_gradients
-from mrhd.tensor import ShapeError, Tensor
+from mrhd.tensor import ContractError, Tensor
 
 
 def _params(seed=0, d_vin=5, d_tin=4, d=6):
@@ -26,9 +26,9 @@ def _bundle(seed=0, L=3, N=2, d_vin=5, d_tin=4):
 
 
 def test_project_shapes():
-    p = align.project(_bundle(), _params())
-    assert p.v_hat.shape == (3, 6)
-    assert p.t_hat.shape == (2, 6)
+    v_hat, t_hat = align.project(_bundle(), _params())
+    assert v_hat.shape == (3, 6)
+    assert t_hat.shape == (2, 6)
 
 
 def test_project_zero_weights_give_zero_output():
@@ -37,13 +37,13 @@ def test_project_zero_weights_give_zero_output():
         if name.endswith(".ln.g"):
             continue  # keep unit gain; zero pre-norm input stays zero through the norm
         t.data[...] = 0.0
-    p = align.project(_bundle(), params)
-    assert np.allclose(p.v_hat.data, 0.0)
-    assert np.allclose(p.t_hat.data, 0.0)
+    v_hat, t_hat = align.project(_bundle(), params)
+    assert np.allclose(v_hat.data, 0.0)
+    assert np.allclose(t_hat.data, 0.0)
 
 
 def test_project_dim_mismatch():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError):
         align.project(_bundle(d_vin=7), _params(d_vin=5))
 
 
@@ -57,10 +57,8 @@ def test_project_gradients_match_finite_differences():
 
     def build(ts):
         local = dict(zip(names, ts))
-        p = align.project(bundle, local)
-        return T.add(
-            T.tsum(T.mul(p.v_hat, Tensor(rv))), T.tsum(T.mul(p.t_hat, Tensor(rt)))
-        )
+        v_hat, t_hat = align.project(bundle, local)
+        return T.add(T.tsum(T.mul(v_hat, Tensor(rv))), T.tsum(T.mul(t_hat, Tensor(rt))))
 
     err = check_gradients(build, [params[n].data.copy() for n in names])
     assert err < 1e-4
@@ -68,25 +66,23 @@ def test_project_gradients_match_finite_differences():
 
 def test_local_similarity_matching_row_gives_sigmoid_one():
     base = np.array([[1.0, 2.0, 0.5]])
-    p = align.ProjectedFeatures(v_hat=Tensor(base.copy()), t_hat=Tensor(base.copy()))
-    s_loc, s_hat = align.local_similarity(p)
+    s_loc, s_hat = align.local_similarity(Tensor(base.copy()), Tensor(base.copy()))
     target = 1.0 / (1.0 + math.exp(-1.0))
     assert abs(s_loc.data[0, 0] - target) < 1e-6
     assert abs(s_hat.data[0] - target) < 1e-6
 
 
 def test_local_similarity_orthogonal_gives_half():
-    p = align.ProjectedFeatures(
-        v_hat=Tensor(np.array([[1.0, 0.0]])), t_hat=Tensor(np.array([[0.0, 1.0]]))
+    s_loc, _ = align.local_similarity(
+        Tensor(np.array([[1.0, 0.0]])), Tensor(np.array([[0.0, 1.0]]))
     )
-    s_loc, _ = align.local_similarity(p)
     assert abs(s_loc.data[0, 0] - 0.5) < 1e-12
 
 
 def test_local_similarity_mean_of_constant_row():
     v = Tensor(np.array([[2.0, 0.0]]))
     t = Tensor(np.array([[3.0, 0.0], [5.0, 0.0]]))  # both words parallel to the clip
-    s_loc, s_hat = align.local_similarity(align.ProjectedFeatures(v, t))
+    s_loc, s_hat = align.local_similarity(v, t)
     # the 1e-8 norm epsilon perturbs the cosines at the 1e-9 scale
     assert np.allclose(s_loc.data, s_loc.data[0, 0], atol=1e-8)
     assert abs(s_hat.data[0] - s_loc.data.mean()) < 1e-12
@@ -94,10 +90,9 @@ def test_local_similarity_mean_of_constant_row():
 
 def test_local_similarity_open_interval():
     rng = np.random.default_rng(3)
-    p = align.ProjectedFeatures(
-        v_hat=Tensor(rng.standard_normal((4, 3))), t_hat=Tensor(rng.standard_normal((5, 3)))
+    s_loc, s_hat = align.local_similarity(
+        Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((5, 3)))
     )
-    s_loc, s_hat = align.local_similarity(p)
     assert np.all(s_loc.data > 0) and np.all(s_loc.data < 1)
     assert np.all(s_hat.data > 0) and np.all(s_hat.data < 1)
 
@@ -166,9 +161,9 @@ def test_global_loss_batch_permutation_invariant():
 def test_all_losses_reach_mlp_parameters():
     params = _params(d_vin=3, d_tin=3, d=4)
     bundle = _bundle(seed=4, L=3, N=2, d_vin=3, d_tin=3)
-    p = align.project(bundle, params)
-    _, s_hat = align.local_similarity(p)
-    gv, gt = align.pooled_globals(p)
+    v_hat, t_hat = align.project(bundle, params)
+    _, s_hat = align.local_similarity(v_hat, t_hat)
+    gv, gt = align.pooled_globals(v_hat, t_hat)
     loss = T.add(
         align.local_loss(s_hat, np.array([1.0, 0.0, 1.0])),
         align.global_loss(T.concat([gv, gv], axis=0), T.concat([gt, gt], axis=0)),
@@ -186,8 +181,7 @@ def test_local_and_global_gradients_match_finite_differences():
     c = np.array([1.0, 0.0, 1.0])
 
     def build_local(ts):
-        p = align.ProjectedFeatures(v_hat=ts[0], t_hat=ts[1])
-        _, s_hat = align.local_similarity(p)
+        _, s_hat = align.local_similarity(ts[0], ts[1])
         return align.local_loss(s_hat, c)
 
     assert check_gradients(build_local, [v, t]) < 1e-4

@@ -324,13 +324,56 @@ def test_config_field_of_wrong_type_exits_one(tiny_dir, tmp_path, caplog):
     assert "config field 'epochs' must be int, got '3'" in caplog.text
 
 
+def _run_with_config(command, cfg, data_dir, tmp_path):
+    """Exit code of ``mrhd <command> --config cfg`` with the other flags it needs."""
+    rest = {
+        "train": ["--data", str(data_dir), "--out", str(tmp_path / "m.ckpt")],
+        "sweep": ["--data", str(data_dir), "--lambdas", "0.3"],
+        "synth": ["--out", str(tmp_path / "d")],
+    }[command]
+    return cli.main([command, "--config", str(cfg), *rest])
+
+
 def test_config_with_an_int_of_5000_digits_exits_one(tiny_dir, tmp_path, caplog):
     data_dir, _ = tiny_dir
     cfg = tmp_path / "huge.json"
     cfg.write_text('{"epochs": ' + "1" * 5000 + "}")
-    assert cli.main(["train", "--config", str(cfg), "--data", str(data_dir),
-                     "--out", str(tmp_path / "m.ckpt")]) == 1
-    assert "config is not valid JSON" in caplog.text
+    for command in ("train", "sweep", "synth"):
+        caplog.clear()
+        assert _run_with_config(command, cfg, data_dir, tmp_path) == 1, command
+        assert f"{cfg}: config is not valid JSON" in caplog.text, command
+
+
+def test_config_that_is_not_utf8_exits_one(tiny_dir, tmp_path, caplog):
+    data_dir, _ = tiny_dir
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes('{"seed": 1, "note": "café"}'.encode("latin-1"))
+    for command in ("train", "sweep", "synth"):
+        caplog.clear()
+        assert _run_with_config(command, cfg, data_dir, tmp_path) == 1, command
+        assert f"{cfg}: config is not valid JSON ('utf-8' codec" in caplog.text, command
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"learning_rate": math.nan}, "learning_rate must be finite and >= 0, got nan"),
+        ({"learning_rate": math.inf}, "learning_rate must be finite and >= 0, got inf"),
+        ({"weights": {"l1": math.nan}}, "weights.l1 must be finite and >= 0, got nan"),
+        ({"weights": {"saliency": -1.0}}, "weights.saliency must be finite and >= 0, got -1.0"),
+    ],
+    ids=["learning_rate-nan", "learning_rate-inf", "l1-nan", "saliency-negative"],
+)
+def test_config_with_an_unusable_rate_or_weight_exits_one(
+    tiny_dir, tmp_path, caplog, change, message
+):
+    data_dir, _ = tiny_dir
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**TINY_TRAIN, **change}))  # NaN and Infinity, as json writes them
+    for command in ("train", "sweep"):
+        caplog.clear()
+        assert _run_with_config(command, cfg, data_dir, tmp_path) == 1, command
+        assert message in caplog.text, command
 
 
 def test_checkpoint_header_with_an_int_of_5000_digits_exits_one(tiny_dir, tmp_path, caplog):

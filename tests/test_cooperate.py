@@ -129,8 +129,7 @@ def test_shared_gradient_is_sum_of_call_site_gradients():
 def test_decoder_span_count_and_bounds():
     params = _params(seed=8)
     z_hat = _joint(seed=8, L=6)
-    out = C.moment_decoder(z_hat, params, HEADS, K)
-    spans = C.decode_spans(out, duration=32.0)
+    spans = C.decode_spans(*C.moment_decoder(z_hat, params, HEADS, K), duration=32.0)
     assert len(spans) == M
     for start, end, score in spans:
         assert 0.0 <= start < end <= 32.0
@@ -139,22 +138,19 @@ def test_decoder_span_count_and_bounds():
 
 
 def test_decode_spans_arithmetic():
-    out = C.DecoderOutput(
-        center_width=Tensor(np.array([[0.5, 0.5]])), scores=Tensor(np.array([0.9]))
-    )
-    spans = C.decode_spans(out, duration=100.0)
+    spans = C.decode_spans(Tensor(np.array([[0.5, 0.5]])), Tensor(np.array([0.9])), 100.0)
     assert spans == [(25.0, 75.0, 0.9)]
 
 
 def test_decoder_query_permutation_permutes_spans():
     params = _params(seed=9)
     z_hat = _joint(seed=9, L=5)
-    base = C.moment_decoder(z_hat, params, HEADS, K)
+    base_cw, base_scores = C.moment_decoder(z_hat, params, HEADS, K)
     perm = np.array([2, 0, 1])
     params["decoder.queries"].data[...] = params["decoder.queries"].data[perm]
-    permuted = C.moment_decoder(z_hat, params, HEADS, K)
-    assert np.allclose(permuted.center_width.data, base.center_width.data[perm], atol=1e-12)
-    assert np.allclose(permuted.scores.data, base.scores.data[perm], atol=1e-12)
+    cw, scores = C.moment_decoder(z_hat, params, HEADS, K)
+    assert np.allclose(cw.data, base_cw.data[perm], atol=1e-12)
+    assert np.allclose(scores.data, base_scores.data[perm], atol=1e-12)
 
 
 def test_gru_zero_everything_gives_zero():

@@ -8,7 +8,6 @@ import pytest
 
 from mrhd import losses as LS
 from mrhd import tensor as T
-from mrhd.cooperate import DecoderOutput
 from mrhd.data import QuerySample
 from mrhd.gradcheck import check_gradients
 from mrhd.tensor import ContractError, Tensor
@@ -22,31 +21,35 @@ def brute_force_assignment(cost: np.ndarray) -> float:
     return best
 
 
-def _match_cost(cost, match):
-    return sum(cost[p, g] for p, g in match.pairs)
+def _match_cost(cost, pairs):
+    return sum(cost[p, g] for p, g in pairs)
 
 
 def test_hungarian_identity_complement():
-    match = LS.hungarian_match(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert match.pairs == [(0, 0), (1, 1)]
+    assert LS.hungarian_match(np.array([[0.0, 1.0], [1.0, 0.0]])) == [(0, 0), (1, 1)]
 
 
 def test_hungarian_hand_case():
     cost = np.array([[1.0, 2.0], [3.0, 1.0]])
-    match = LS.hungarian_match(cost)
-    assert match.pairs == [(0, 0), (1, 1)]
-    assert _match_cost(cost, match) == 2.0
+    pairs = LS.hungarian_match(cost)
+    assert pairs == [(0, 0), (1, 1)]
+    assert _match_cost(cost, pairs) == 2.0
 
 
 def test_hungarian_tie_prefers_low_prediction_index():
-    match = LS.hungarian_match(np.ones((3, 3)))
-    assert match.pairs == [(0, 0), (1, 1), (2, 2)]
+    assert LS.hungarian_match(np.ones((3, 3))) == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_hungarian_rectangular_leaves_predictions_unmatched():
     cost = np.array([[5.0], [1.0], [3.0]])
-    match = LS.hungarian_match(cost)
-    assert match.pairs == [(1, 0)]  # predictions 0 and 2 are left unmatched
+    assert LS.hungarian_match(cost) == [(1, 0)]  # predictions 0 and 2 are left unmatched
+
+
+def test_hungarian_pairs_come_in_ground_truth_order():
+    """Ground truth 0 takes prediction 2 and ground truth 1 prediction 0:
+    the pairs are listed by ground truth, not by prediction."""
+    cost = np.array([[9.0, 0.0], [9.0, 9.0], [0.0, 9.0]])
+    assert LS.hungarian_match(cost) == [(2, 0), (0, 1)]
 
 
 def test_hungarian_more_gts_than_preds_rejected():
@@ -64,10 +67,10 @@ def test_hungarian_matches_brute_force_square():
     for _ in range(50):
         n = int(rng.integers(1, 6))
         cost = rng.standard_normal((n, n)) * 10
-        match = LS.hungarian_match(cost)
-        assert len(match.pairs) == n
-        assert {g for _, g in match.pairs} == set(range(n))
-        assert abs(_match_cost(cost, match) - brute_force_assignment(cost)) < 1e-9
+        pairs = LS.hungarian_match(cost)
+        assert len(pairs) == n
+        assert {g for _, g in pairs} == set(range(n))
+        assert abs(_match_cost(cost, pairs) - brute_force_assignment(cost)) < 1e-9
 
 
 def test_hungarian_matches_brute_force_rectangular():
@@ -76,8 +79,8 @@ def test_hungarian_matches_brute_force_rectangular():
         g = int(rng.integers(1, 4))
         m = int(rng.integers(g, 7))
         cost = rng.standard_normal((m, g)) * 5
-        match = LS.hungarian_match(cost)
-        assert abs(_match_cost(cost, match) - brute_force_assignment(cost)) < 1e-9
+        pairs = LS.hungarian_match(cost)
+        assert abs(_match_cost(cost, pairs) - brute_force_assignment(cost)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +138,17 @@ def test_giou_gradient():
 
 
 def _decoder_out(cw, scores):
-    return DecoderOutput(
-        center_width=Tensor(np.asarray(cw, dtype=float), requires_grad=True),
-        scores=Tensor(np.asarray(scores, dtype=float), requires_grad=True),
+    """The decoder's (M, 2) spans and (M,) scores as leaves that need grad."""
+    return (
+        Tensor(np.asarray(cw, dtype=float), requires_grad=True),
+        Tensor(np.asarray(scores, dtype=float), requires_grad=True),
     )
+
+
+def _cost(out, windows, duration, weights):
+    cw, scores = out
+    gt_cw = LS.windows_to_center_width(windows, duration)
+    return LS._span_cost(cw.data, scores.data, gt_cw, weights)
 
 
 def test_span_loss_perfect_prediction_has_zero_span_terms():
@@ -146,33 +156,33 @@ def test_span_loss_perfect_prediction_has_zero_span_terms():
     duration = 40.0
     out = _decoder_out([[0.5, 0.5], [0.2, 0.1]], [0.999999, 0.2])
     weights = LS.LossWeights(l1=10.0, giou=1.0, cls=0.0)
-    cost, match, mom = LS.span_cost_and_loss(out, gt, duration, weights)
-    assert match.pairs == [(0, 0)]
+    mom = LS.span_cost_and_loss(*out, gt, duration, weights)
+    assert LS.hungarian_match(_cost(out, gt, duration, weights)) == [(0, 0)]
     assert mom.item() < 1e-9
 
 
 def test_span_cost_prefers_confident_overlapping_pred():
     gt = [(0.0, 50.0)]
     out = _decoder_out([[0.25, 0.5], [0.75, 0.5]], [0.9, 0.9])
-    cost, match, _ = LS.span_cost_and_loss(out, gt, 100.0, LS.LossWeights())
+    cost = _cost(out, gt, 100.0, LS.LossWeights())
     assert cost.shape == (2, 1)
     assert cost[0, 0] < cost[1, 0]
-    assert match.pairs == [(0, 0)]
+    assert LS.hungarian_match(cost) == [(0, 0)]
 
 
 def test_span_loss_degenerate_gt_rejected():
     out = _decoder_out([[0.5, 0.5]], [0.5])
     with pytest.raises(ContractError):
-        LS.span_cost_and_loss(out, [(20.0, 20.0)], 40.0, LS.LossWeights())
+        LS.span_cost_and_loss(*out, [(20.0, 20.0)], 40.0, LS.LossWeights())
 
 
 def test_span_loss_unmatched_preds_pushed_to_background():
     gt = [(10.0, 30.0)]
     out = _decoder_out([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5])
-    _, match, mom = LS.span_cost_and_loss(out, gt, 40.0, LS.LossWeights())
+    mom = LS.span_cost_and_loss(*out, gt, 40.0, LS.LossWeights())
     mom.backward()
-    grads = out.scores.grad
-    matched = match.pairs[0][0]
+    grads = out[1].grad
+    matched = LS.hungarian_match(_cost(out, gt, 40.0, LS.LossWeights()))[0][0]
     other = 1 - matched
     assert grads[matched] < 0  # push matched score up
     assert grads[other] > 0  # push unmatched score down
@@ -216,7 +226,7 @@ def test_span_cost_equals_double_loop(num_pred, windows):
         if trial == 0:  # exact overlaps, shared edges and ties between predictions
             cw[:] = gt_cw[rng.integers(len(windows), size=num_pred)]
         scores = rng.uniform(0.0, 1.0, size=num_pred)
-        cost, _, _ = LS.span_cost_and_loss(_decoder_out(cw, scores), windows, duration, weights)
+        cost = _cost(_decoder_out(cw, scores), windows, duration, weights)
         want = _loop_span_cost(cw, scores, gt_cw, weights)
         assert cost.shape == want.shape
         assert (cost == want).all()
@@ -231,9 +241,7 @@ def test_span_loss_gradients_match_finite_differences():
     weights = LS.LossWeights()
 
     def build(ts):
-        out = DecoderOutput(center_width=ts[0], scores=ts[1])
-        _, _, mom = LS.span_cost_and_loss(out, gt, duration, weights)
-        return mom
+        return LS.span_cost_and_loss(ts[0], ts[1], gt, duration, weights)
 
     assert check_gradients(build, [cw, sc]) < 1e-4
 

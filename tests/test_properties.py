@@ -31,8 +31,7 @@ def test_feature_round_trip_bit_exact(tmp_path_factory, rows, cols, seed):
 @settings(max_examples=60, deadline=None)
 def test_hungarian_beats_any_permutation(n, values, perm):
     cost = np.array(values[: n * n]).reshape(n, n)
-    match = losses.hungarian_match(cost)
-    got = sum(cost[p, g] for p, g in match.pairs)
+    got = sum(cost[p, g] for p, g in losses.hungarian_match(cost))
     other = sum(cost[perm[j] % n, j] for j in range(n))
     # a permutation with collisions is not an assignment; skip those
     if len({perm[j] % n for j in range(n)}) == n:

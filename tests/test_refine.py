@@ -7,7 +7,6 @@ import pytest
 
 from mrhd import refine
 from mrhd import tensor as T
-from mrhd.align import ProjectedFeatures
 from mrhd.gradcheck import check_gradients
 from mrhd.tensor import ContractError, Tensor
 
@@ -19,11 +18,9 @@ def _params(seed=0, d=4):
 
 
 def _features(seed=0, L=4, N=3, d=4):
+    """Projected clips (L, d) and words (N, d)."""
     rng = np.random.default_rng(seed)
-    return ProjectedFeatures(
-        v_hat=Tensor(rng.standard_normal((L, d))),
-        t_hat=Tensor(rng.standard_normal((N, d))),
-    )
+    return Tensor(rng.standard_normal((L, d))), Tensor(rng.standard_normal((N, d)))
 
 
 def _identity_linears(params, d):
@@ -36,8 +33,7 @@ def test_cross_similarity_identity_pattern():
     d = 4
     params = _params(d=d)
     _identity_linears(params, d)
-    eye = ProjectedFeatures(v_hat=Tensor(np.eye(d)), t_hat=Tensor(np.eye(d)))
-    a_row, a_col = refine.cross_similarity(eye, params)
+    a_row, a_col = refine.cross_similarity(Tensor(np.eye(d)), Tensor(np.eye(d)), params)
     # scores eye / sqrt(d): each row and column holds one e^(1/sqrt(d)) and
     # d - 1 ones
     big = math.exp(1.0 / math.sqrt(d))
@@ -46,14 +42,14 @@ def test_cross_similarity_identity_pattern():
 
 
 def test_cross_similarity_stochastic_normalizations():
-    a_row, a_col = refine.cross_similarity(_features(), _params())
+    a_row, a_col = refine.cross_similarity(*_features(), _params())
     assert np.allclose(a_row.data.sum(axis=1), 1.0, atol=1e-12)
     assert np.allclose(a_col.data.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_cross_similarity_gradients():
     d = 3
-    p = _features(seed=2, L=3, N=2, d=d)
+    v, t = _features(seed=2, L=3, N=2, d=d)
     params = _params(seed=1, d=d)
     names = ["cross.v.w", "cross.v.b", "cross.t.w", "cross.t.b"]
     rng = np.random.default_rng(5)
@@ -62,56 +58,54 @@ def test_cross_similarity_gradients():
     def build(ts):
         local = dict(params)
         local.update(zip(names, ts))
-        a_row, a_col = refine.cross_similarity(p, local)
+        a_row, a_col = refine.cross_similarity(v, t, local)
         return T.add(T.tsum(T.mul(a_row, Tensor(r_row))), T.tsum(T.mul(a_col, Tensor(r_col))))
 
     assert check_gradients(build, [params[n].data.copy() for n in names]) < 1e-4
 
 
 def test_attend_single_word_copies_it():
-    p = _features(L=3, N=1)
-    f_v2q, _ = refine.bidirectional_attend(*refine.cross_similarity(p, _params()), p)
-    assert np.allclose(f_v2q.data, np.tile(p.t_hat.data, (3, 1)))
+    v, t = _features(L=3, N=1)
+    f_v2q, _ = refine.bidirectional_attend(*refine.cross_similarity(v, t, _params()), v, t)
+    assert np.allclose(f_v2q.data, np.tile(t.data, (3, 1)))
 
 
 def test_attend_uniform_scores_give_mean_word():
-    p = _features(L=2, N=3)
+    v, t = _features(L=2, N=3)
     a_row, a_col = Tensor(np.full((2, 3), 1 / 3)), Tensor(np.full((2, 3), 1 / 2))
-    f_v2q, _ = refine.bidirectional_attend(a_row, a_col, p)
-    assert np.allclose(f_v2q.data, np.tile(p.t_hat.data.mean(axis=0), (2, 1)))
+    f_v2q, _ = refine.bidirectional_attend(a_row, a_col, v, t)
+    assert np.allclose(f_v2q.data, np.tile(t.data.mean(axis=0), (2, 1)))
 
 
 def test_attend_matches_matrix_product_oracle():
-    p = _features(seed=3, L=4, N=3)
-    a_row, a_col = refine.cross_similarity(p, _params(seed=4))
-    f_v2q, f_q2v = refine.bidirectional_attend(a_row, a_col, p)
-    assert np.allclose(f_v2q.data, a_row.data @ p.t_hat.data, atol=1e-12)
-    assert np.allclose(f_q2v.data, a_row.data @ a_col.data.T @ p.v_hat.data, atol=1e-12)
+    v, t = _features(seed=3, L=4, N=3)
+    a_row, a_col = refine.cross_similarity(v, t, _params(seed=4))
+    f_v2q, f_q2v = refine.bidirectional_attend(a_row, a_col, v, t)
+    assert np.allclose(f_v2q.data, a_row.data @ t.data, atol=1e-12)
+    assert np.allclose(f_q2v.data, a_row.data @ a_col.data.T @ v.data, atol=1e-12)
 
 
 def test_attend_rows_remain_convex_after_scaling_words():
-    p = _features(seed=6)
-    scaled = ProjectedFeatures(v_hat=p.v_hat, t_hat=T.scale(p.t_hat, 7.0))
-    a_row, _ = refine.cross_similarity(scaled, _params(seed=6))
+    v, t = _features(seed=6)
+    a_row, _ = refine.cross_similarity(v, T.scale(t, 7.0), _params(seed=6))
     assert np.allclose(a_row.data.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_fuse_output_shape():
-    p = _features()
-    f_v2q, f_q2v = refine.bidirectional_attend(*refine.cross_similarity(p, _params()), p)
-    out = refine.fuse(p, f_v2q, f_q2v, _params())
+    v, t = _features()
+    f_v2q, f_q2v = refine.bidirectional_attend(*refine.cross_similarity(v, t, _params()), v, t)
+    out = refine.fuse(v, t, f_v2q, f_q2v, _params())
     assert out.shape == (4, 4)
 
 
 def test_fuse_zero_clips_annihilate_product_blocks():
     d = 4
     params = _params(d=d)
-    p = _features(d=d)
-    zero_p = ProjectedFeatures(v_hat=Tensor(np.zeros((4, d))), t_hat=p.t_hat)
+    _, t = _features(d=d)
     f_v2q = Tensor(np.random.default_rng(0).standard_normal((4, d)))
     f_q2v = Tensor(np.random.default_rng(1).standard_normal((4, d)))
-    got = refine.fuse(zero_p, f_v2q, f_q2v, params)
-    text_global = np.tile(p.t_hat.data.mean(axis=0), (4, 1))
+    got = refine.fuse(Tensor(np.zeros((4, d))), t, f_v2q, f_q2v, params)
+    text_global = np.tile(t.data.mean(axis=0), (4, 1))
     manual_in = np.concatenate(
         [np.zeros((4, d)), f_v2q.data, np.zeros((4, d)), np.zeros((4, d)), text_global],
         axis=1,
@@ -121,15 +115,15 @@ def test_fuse_zero_clips_annihilate_product_blocks():
 
 
 def test_fuse_gradient_to_linear():
-    p = _features(seed=1, L=2, N=2, d=3)
+    v, t = _features(seed=1, L=2, N=2, d=3)
     params = _params(seed=2, d=3)
-    f_v2q, f_q2v = refine.bidirectional_attend(*refine.cross_similarity(p, params), p)
+    f_v2q, f_q2v = refine.bidirectional_attend(*refine.cross_similarity(v, t, params), v, t)
     r = np.random.default_rng(8).standard_normal((2, 3))
 
     def build(ts):
         local = dict(params)
         local["fuse.w"], local["fuse.b"] = ts
-        return T.tsum(T.mul(refine.fuse(p, f_v2q, f_q2v, local), Tensor(r)))
+        return T.tsum(T.mul(refine.fuse(v, t, f_v2q, f_q2v, local), Tensor(r)))
 
     arrays = [params["fuse.w"].data.copy(), params["fuse.b"].data.copy()]
     assert check_gradients(build, arrays) < 1e-4
@@ -145,10 +139,10 @@ def test_cross_attention_single_word_returns_value_row():
     """One word: every clip attends to it alone, so the mixture is its value row."""
     d = 4
     params = _params(d=d)
-    p = _features(L=3, N=1, d=d)
-    joint = refine.cross_attention_fusion(p.v_hat, p.t_hat, params)
-    v_row = p.t_hat.data @ params["zattn.v.w"].data + params["zattn.v.b"].data
-    want = _layer_norm(p.v_hat.data + np.tile(v_row, (3, 1)), params)
+    v, t = _features(L=3, N=1, d=d)
+    joint = refine.cross_attention_fusion(v, t, params)
+    v_row = t.data @ params["zattn.v.w"].data + params["zattn.v.b"].data
+    want = _layer_norm(v.data + np.tile(v_row, (3, 1)), params)
     assert np.allclose(joint.data, want, atol=1e-12)
 
 
@@ -157,19 +151,19 @@ def test_cross_attention_constant_keys_give_mean_value():
     d = 4
     params = _params(d=d)
     params["zattn.k.w"].data[...] = 0.0  # keys collapse to the bias row
-    p = _features(L=2, N=3, d=d)
-    joint = refine.cross_attention_fusion(p.v_hat, p.t_hat, params)
-    values = p.t_hat.data @ params["zattn.v.w"].data + params["zattn.v.b"].data
-    want = _layer_norm(p.v_hat.data + np.tile(values.mean(axis=0), (2, 1)), params)
+    v, t = _features(L=2, N=3, d=d)
+    joint = refine.cross_attention_fusion(v, t, params)
+    values = t.data @ params["zattn.v.w"].data + params["zattn.v.b"].data
+    want = _layer_norm(v.data + np.tile(values.mean(axis=0), (2, 1)), params)
     assert np.allclose(joint.data, want, atol=1e-12)
 
 
 def test_cross_attention_word_permutation_invariant():
-    p = _features(seed=10, L=3, N=4, d=4)
+    v, t = _features(seed=10, L=3, N=4, d=4)
     params = _params(seed=10)
     perm = np.random.default_rng(0).permutation(4)
-    a = refine.cross_attention_fusion(p.v_hat, p.t_hat, params)
-    b = refine.cross_attention_fusion(p.v_hat, Tensor(p.t_hat.data[perm]), params)
+    a = refine.cross_attention_fusion(v, t, params)
+    b = refine.cross_attention_fusion(v, Tensor(t.data[perm]), params)
     assert np.allclose(a.data, b.data, atol=1e-12)
 
 

@@ -1,13 +1,16 @@
 """Engine-level tests: kernel gradients, graph mechanics, error paths."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
+from mrhd import gradcheck, trainer
 from mrhd import tensor as T
-from mrhd import trainer
 from mrhd.data import Dataset, SynthConfig, synth_generate
 from mrhd.gradcheck import check_gradients, kernel_suite
-from mrhd.tensor import ContractError, ShapeError, Tensor
+from mrhd.tensor import ContractError, Tensor
 
 
 def test_forward_values_match_numpy():
@@ -62,7 +65,7 @@ def test_item_requires_single_element():
     ],
 )
 def test_shape_violations_raise(bad):
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError):
         bad()
 
 
@@ -185,3 +188,29 @@ def test_every_grad_is_c_contiguous_float64_of_its_shape():
             assert g.flags.c_contiguous and g.shape == node.shape
             checked += 1
     assert checked > 100
+
+
+def test_kernel_suite_checks_every_public_kernel(monkeypatch):
+    """``gradcheck.kernel_suite`` calls each public function of ``tensor``
+    itself (a call from inside another kernel does not count), so a kernel
+    added without a finite-difference check fails here."""
+    kernels = {
+        name
+        for name, f in vars(T).items()
+        if inspect.isfunction(f) and f.__module__ == T.__name__ and not name.startswith("_")
+    }
+    called = set()
+
+    def spy(name, kernel):
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_globals is vars(gradcheck):
+                called.add(name)
+            return kernel(*args, **kwargs)
+
+        return wrapper
+
+    for name in kernels:
+        monkeypatch.setattr(T, name, spy(name, getattr(T, name)))
+    kernel_suite([0])
+    assert {"matmul", "affine", "gru"} <= kernels
+    assert sorted(kernels - called) == []

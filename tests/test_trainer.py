@@ -48,10 +48,11 @@ def tiny_model(tiny_data):
 # config
 
 
-def test_config_json_round_trip():
+def test_config_json_round_trip(tmp_path):
     cfg = tiny_config(lambda_lg=0.5, weights=LossWeights(l1=2.0, saliency=3.0))
-    back = trainer.TrainConfig.from_json(json.dumps(cfg.to_dict()))
-    assert back == cfg
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    assert trainer.read_config(path, trainer.TrainConfig, "config") == cfg
 
 
 def test_config_defaults_match_documented_values():
@@ -81,6 +82,13 @@ def test_config_defaults_match_documented_values():
         ("weights", 3),
         ("weights", {"l1": "10"}),
         ("weights", {"saliency": False}),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("learning_rate", -1e-4),
+        ("weights", {"l1": float("nan")}),
+        ("weights", {"giou": float("inf")}),
+        ("weights", {"cls": -1.0}),
+        ("weights", {"saliency": float("-inf")}),
     ],
 )
 def test_config_rejects_bad_fields(field, value):
