@@ -2,7 +2,7 @@
 
 Subcommands: synth, train, eval, predict, gradcheck, sweep. Logs go to
 stderr; machine-readable JSON goes to stdout or the --out path. Exit codes:
-0 success, 1 validation or configuration problem, 2 internal failure.
+0 success, 1 an unusable input (an ``InputError``) or a missing file, 2 a bug.
 """
 
 from __future__ import annotations
@@ -15,31 +15,19 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import gradcheck, trainer
-from .data import (
-    ConfigError,
-    DatasetLoadError,
-    FeatureFormatError,
-    SynthConfig,
-    ValidationError,
-    load_dataset,
-    synth_generate,
-    write_dataset,
-)
+from .data import ConfigError, InputError, SynthConfig, load_dataset, synth_generate, write_dataset
 
 log = logging.getLogger("mrhd")
 
-_USER_ERRORS = (
-    ConfigError,
-    ValidationError,
-    DatasetLoadError,
-    FeatureFormatError,
-    trainer.CheckpointFormatError,
-    trainer.PredictionFormatError,
-    trainer.NonFiniteOutputError,
-    FileNotFoundError,
-    NotADirectoryError,
-    IsADirectoryError,
-)
+_USER_ERRORS = (InputError, FileNotFoundError, NotADirectoryError, IsADirectoryError)
+
+
+def non_negative_int(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,14 +40,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="generate a seeded synthetic dataset")
     synth.add_argument("--config", help="JSON file with generator fields")
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=non_negative_int, default=0)
     synth.add_argument("--out", required=True, help="output directory")
 
     train = sub.add_parser("train", help="train a model and save a checkpoint")
     train.add_argument("--config", help="JSON file with training fields")
     train.add_argument("--data", required=True, help="dataset directory")
     train.add_argument("--out", required=True, help="checkpoint path")
-    train.add_argument("--seed", type=int, help="override the config seed")
+    train.add_argument("--seed", type=non_negative_int, help="override the config seed")
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     ev.add_argument("--ckpt", required=True)
@@ -72,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--out", required=True)
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of every kernel")
-    gc.add_argument("--seed", type=int, default=0)
+    gc.add_argument("--seed", type=non_negative_int, default=0)
     gc.add_argument("--trials", type=int, default=3, help="seeds per kernel")
     gc.add_argument("--out", help="write the report here instead of stdout")
 
@@ -82,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--lambdas", required=True, help="comma-separated weights")
     sweep.add_argument("--val-data", help="held-out directory (default: --data)")
     sweep.add_argument("--out", help="write the table here instead of stdout")
-    sweep.add_argument("--seed", type=int, help="override the config seed")
+    sweep.add_argument("--seed", type=non_negative_int, help="override the config seed")
     return p
 
 
@@ -194,9 +182,6 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except _USER_ERRORS as e:
         log.error("%s", e)
-        return 1
-    except json.JSONDecodeError as e:
-        log.error("bad JSON input: %s", e)
         return 1
     except Exception:
         log.exception("internal error")

@@ -19,29 +19,36 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 
-class FeatureFormatError(ValueError):
+class InputError(ValueError):
+    """Base of every error that an unusable input causes (exit code 1)."""
+
+
+class FeatureFormatError(InputError):
     """A feature file is malformed: bad magic, bad header, or short payload."""
 
 
-class ValidationError(ValueError):
+class ValidationError(InputError):
     """An annotation record violates the schema invariants."""
 
 
-class DatasetLoadError(RuntimeError):
+class DatasetLoadError(InputError):
     """A referenced feature file is missing or unreadable."""
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """A config, a command-line value or a dataset is unusable (e.g. empty)."""
 
 
 _MAGIC = b"FEATB1\x00\x00"
 _MAX_ELEMENTS = 1 << 30
+# A window or a predicted span may end this far past the video.
+END_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -142,7 +149,7 @@ def _validate_sample(s: QuerySample, where: str) -> None:
         start, end = w
         if not start < end:
             raise ValidationError(f"{where}: start < end violated by window [{start}, {end}]")
-        if start < 0 or end > s.duration + 1e-9:
+        if start < 0 or end > s.duration + END_TOLERANCE:
             raise ValidationError(f"{where}: window [{start}, {end}] outside [0, {s.duration}]")
     expected_l = s.num_clips
     if len(s.saliency) != expected_l:
@@ -165,8 +172,14 @@ def _is_number(x) -> bool:
     return type(x) in (int, float)
 
 
-def _lists_of(x, item_check) -> bool:
-    return type(x) is list and all(type(row) is list and all(map(item_check, row)) for row in x)
+def lists_of(x, types: set) -> bool:
+    """Whether ``x`` is a list of lists of items whose types are in ``types``
+    (C-level set tests, not a Python call per item)."""
+    return (
+        type(x) is list
+        and set(map(type, x)) <= {list}
+        and set(map(type, chain.from_iterable(x))) <= types
+    )
 
 
 # Each record field with the check its JSON value must pass: no value is
@@ -177,19 +190,46 @@ _RECORD_FIELDS = (
     ("query", lambda x: type(x) is str, "a string"),
     ("duration", _is_number, "a number"),
     ("clip_len", _is_number, "a number"),
-    ("relevant_windows", lambda x: _lists_of(x, _is_number), "a list of [start, end] numbers"),
-    ("saliency_scores", lambda x: _lists_of(x, lambda r: type(r) is int), "a list of int lists"),
+    ("relevant_windows", lambda x: lists_of(x, {int, float}), "a list of [start, end] numbers"),
+    ("saliency_scores", lambda x: lists_of(x, {int}), "a list of int lists"),
 )
 
 
-def _sample_from_record(rec, where: str) -> QuerySample:
+def record_problem(rec, fields) -> str | None:
+    """What keeps the parsed JSON value ``rec`` from being a record whose
+    every field passes its check in ``fields``, a table of (key, check,
+    kind) triples; None when nothing does."""
     if not isinstance(rec, dict):
-        raise ValidationError(f"{where}: expected a JSON object, got {type(rec).__name__}")
-    for key, check, kind in _RECORD_FIELDS:
+        return f"expected a JSON object, got {type(rec).__name__}"
+    for key, check, kind in fields:
         if key not in rec:
-            raise ValidationError(f"{where}: malformed record (missing {key!r})")
+            return f"malformed record (missing {key!r})"
         if not check(rec[key]):
-            raise ValidationError(f"{where}: {key} must be {kind}, got {rec[key]!r}")
+            return f"{key} must be {kind}, got {rec[key]!r}"
+    return None
+
+
+def read_jsonl(path, error):
+    """(line number, parsed value) for each non-blank line of the UTF-8
+    JSON-Lines file ``path``; text that is not UTF-8 or a line that is not
+    JSON raises ``error`` naming the file (and the line)."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    try:
+                        value = json.loads(line)
+                    except ValueError as exc:  # also an int of over 4300 digits
+                        raise error(f"{path} line {lineno}: invalid JSON ({exc})") from None
+                    yield lineno, value
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def _sample_from_record(rec, where: str) -> QuerySample:
+    problem = record_problem(rec, _RECORD_FIELDS)
+    if problem:
+        raise ValidationError(f"{where}: {problem}")
     try:
         sample = QuerySample(
             qid=rec["qid"],
@@ -210,19 +250,8 @@ def load_annotations(path) -> list[QuerySample]:
     """Parse a JSON-Lines annotations file, validating each record."""
     samples = []
     seen_qids: set[int] = set()
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        where = f"line {lineno}"
-        try:
-            rec = json.loads(line)
-        except ValueError as exc:  # also an int of over 4300 digits
-            raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
+    for lineno, rec in read_jsonl(path, ValidationError):
+        where = f"{path} line {lineno}"
         sample = _sample_from_record(rec, where)
         if sample.qid in seen_qids:
             raise ValidationError(f"{where}: duplicate qid {sample.qid}")

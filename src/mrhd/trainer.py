@@ -19,7 +19,6 @@ import struct
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from itertools import chain
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -27,7 +26,8 @@ import numpy as np
 
 from . import align, cooperate, losses, metrics, refine
 from . import tensor as T
-from .data import ConfigError, Dataset, FeatureBundle, QuerySample, clip_labels
+from .data import ConfigError, Dataset, FeatureBundle, InputError, QuerySample, clip_labels
+from .data import END_TOLERANCE, lists_of, read_jsonl, record_problem
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -37,15 +37,15 @@ _CKPT_MAGIC = b"MRHDCKP1"
 _ARRAY_KINDS = ("param", "adam_m", "adam_v")
 
 
-class CheckpointFormatError(ValueError):
+class CheckpointFormatError(InputError):
     """Checkpoint file is malformed or inconsistent with its header."""
 
 
-class PredictionFormatError(ValueError):
+class PredictionFormatError(InputError):
     """A prediction file or record is malformed or does not fit its query."""
 
 
-class NonFiniteOutputError(ValueError):
+class NonFiniteOutputError(InputError):
     """The model's spans or scores for a query are not finite: its params
     overflow on the query's features."""
 
@@ -78,7 +78,10 @@ def _typed_fields(cls, raw, what: str) -> dict:
         if is_dataclass(want[0]) and isinstance(value, dict):
             value = want[0](**_typed_fields(want[0], value, name))
         elif float in want and type(value) is int:
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError as e:
+                raise ConfigError(f"{what} field {name!r}: {e}") from None
         if not isinstance(value, want) or (isinstance(value, bool) and bool not in want):
             names = " or ".join("None" if t is type(None) else t.__name__ for t in want)
             raise ConfigError(f"{what} field {name!r} must be {names}, got {value!r}")
@@ -119,8 +122,9 @@ class TrainConfig:
             raise ConfigError("num_queries must be >= 1")
         if self.decoder_layers < 1:
             raise ConfigError("decoder_layers must be >= 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        for name in ("seed", "epochs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -609,54 +613,31 @@ def predict(ckpt: Checkpoint, dataset: Dataset, out_path=None) -> list[dict]:
     return records
 
 
-_NUMBERS = {int, float}
-# A predicted span may end this far past the video, as a window may
-# (``data._validate_sample``).
-_END_TOLERANCE = 1e-9
-
-
-def _record_type_problem(rec) -> str | None:
-    """What keeps a parsed line from being a prediction record: a JSON
-    object with an int ``qid``, a list of [start, end, score] number
-    triples and a list of number saliency scores."""
-    if not isinstance(rec, dict):
-        return f"expected a JSON object, got {type(rec).__name__}"
-    for key in ("qid", "pred_relevant_windows", "pred_saliency_scores"):
-        if key not in rec:
-            return f"missing {key}"
-    if type(rec["qid"]) is not int:
-        return f"qid must be an int, got {rec['qid']!r}"
-    windows, saliency = rec["pred_relevant_windows"], rec["pred_saliency_scores"]
-    if not (
-        type(windows) is list
-        and all(type(w) is list and len(w) == 3 for w in windows)
-        and set(map(type, chain.from_iterable(windows))) <= _NUMBERS
-    ):
-        return f"qid {rec['qid']}: pred_relevant_windows must be a list of [start, end, score] numbers"
-    if not (type(saliency) is list and set(map(type, saliency)) <= _NUMBERS):
-        return f"qid {rec['qid']}: pred_saliency_scores must be a list of numbers"
-    return None
+# Each prediction record field with its check, as in ``data._RECORD_FIELDS``.
+_PREDICTION_FIELDS = (
+    ("qid", lambda x: type(x) is int, "an int"),
+    (
+        "pred_relevant_windows",
+        lambda x: lists_of(x, {int, float}) and set(map(len, x)) <= {3},
+        "a list of [start, end, score] numbers",
+    ),
+    (
+        "pred_saliency_scores",
+        lambda x: type(x) is list and set(map(type, x)) <= {int, float},
+        "a list of numbers",
+    ),
+)
 
 
 def read_predictions(path) -> list[dict]:
     """Parse a ``predict`` JSON-Lines file; a line that is not a prediction
     record raises ``PredictionFormatError`` naming the file and the line."""
     records = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError as e:  # also an int of over 4300 digits
-                    raise PredictionFormatError(f"{path} line {lineno}: {e}") from None
-                problem = _record_type_problem(rec)
-                if problem:
-                    raise PredictionFormatError(f"{path} line {lineno}: {problem}")
-                records.append(rec)
-    except UnicodeDecodeError as e:
-        raise PredictionFormatError(f"{path}: not UTF-8 text ({e})") from None
+    for lineno, rec in read_jsonl(path, PredictionFormatError):
+        problem = record_problem(rec, _PREDICTION_FIELDS)
+        if problem:
+            raise PredictionFormatError(f"{path} line {lineno}: {problem}")
+        records.append(rec)
     return records
 
 
@@ -672,14 +653,14 @@ def _prediction_arrays(rec: dict, sample: QuerySample) -> tuple[np.ndarray, np.n
     try:
         spans = np.asarray(rec["pred_relevant_windows"], dtype=np.float64)
         saliency = np.asarray(rec["pred_saliency_scores"], dtype=np.float64)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:  # OverflowError: an int too large
         raise PredictionFormatError(f"{where}: {e}") from None
     if spans.size == 0:
         raise PredictionFormatError(f"{where}: no spans")
     if spans.ndim != 2 or spans.shape[1] != 3 or not np.isfinite(spans).all():
         raise PredictionFormatError(f"{where}: spans must be finite [start, end, score] triples")
     start, end = spans[:, 0], spans[:, 1]
-    outside = (start < 0.0) | (end < start) | (end > sample.duration + _END_TOLERANCE)
+    outside = (start < 0.0) | (end < start) | (end > sample.duration + END_TOLERANCE)
     if outside.any():
         bad = spans[int(outside.argmax())]
         raise PredictionFormatError(

@@ -361,8 +361,11 @@ def test_config_that_is_not_utf8_exits_one(tiny_dir, tmp_path, caplog):
         ({"learning_rate": math.inf}, "learning_rate must be finite and >= 0, got inf"),
         ({"weights": {"l1": math.nan}}, "weights.l1 must be finite and >= 0, got nan"),
         ({"weights": {"saliency": -1.0}}, "weights.saliency must be finite and >= 0, got -1.0"),
+        ({"seed": -3}, "seed must be >= 0, got -3"),
+        ({"learning_rate": 10**400}, "config field 'learning_rate': int too large to convert to float"),
     ],
-    ids=["learning_rate-nan", "learning_rate-inf", "l1-nan", "saliency-negative"],
+    ids=["learning_rate-nan", "learning_rate-inf", "l1-nan", "saliency-negative", "seed-negative",
+         "learning_rate-int-overflow"],
 )
 def test_config_with_an_unusable_rate_or_weight_exits_one(
     tiny_dir, tmp_path, caplog, change, message
@@ -374,6 +377,48 @@ def test_config_with_an_unusable_rate_or_weight_exits_one(
         caplog.clear()
         assert _run_with_config(command, cfg, data_dir, tmp_path) == 1, command
         assert message in caplog.text, command
+
+
+def test_generator_config_with_an_int_too_large_for_a_float_exits_one(tmp_path, caplog):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"noise": 10**400}))
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+    assert "generator config field 'noise': int too large to convert to float" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "sweep", "gradcheck"])
+def test_negative_seed_exits_one(tiny_dir, tmp_path, capsys, command):
+    """numpy's generators refuse a negative seed; the flag refuses it first."""
+    data_dir, train_cfg = tiny_dir
+    rest = {
+        "synth": ["--out", str(tmp_path / "d")],
+        "train": ["--config", str(train_cfg), "--data", str(data_dir), "--out", str(tmp_path / "m.ckpt")],
+        "sweep": ["--config", str(train_cfg), "--data", str(data_dir), "--lambdas", "0.3"],
+        "gradcheck": ["--trials", "1"],
+    }[command]
+    assert cli.main([command, "--seed", "-1", *rest]) == 1
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_every_error_class_but_the_bug_signals_is_an_input_error():
+    """An exception class that is not an ``InputError`` makes ``cli.main``
+    exit 2; only the two that signal bugs in the program may be one."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import mrhd
+    from mrhd.data import InputError
+
+    errors = {
+        f"{cls.__module__}.{cls.__name__}": cls
+        for info in pkgutil.iter_modules(mrhd.__path__, "mrhd.")
+        for cls in vars(importlib.import_module(info.name)).values()
+        if inspect.isclass(cls) and issubclass(cls, BaseException) and cls.__module__ == info.name
+    }
+    bugs = sorted(name for name, cls in errors.items() if not issubclass(cls, InputError))
+    assert bugs == ["mrhd.tensor.ContractError", "mrhd.trainer.TrainingDivergedError"]
+    assert len(errors) == 10  # InputError and the seven user errors
 
 
 def test_checkpoint_header_with_an_int_of_5000_digits_exits_one(tiny_dir, tmp_path, caplog):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mrhd import trainer
 from mrhd.data import (
     ConfigError,
     Dataset,
@@ -252,6 +253,37 @@ def _with(**fields):
 def test_validation_refuses_malformed_record(tmp_path, line, message):
     with pytest.raises(ValidationError, match=f"line 2: .*{message}"):
         _load_second_line(tmp_path, line)
+
+
+_GOOD_PREDICTION = {"qid": 1, "pred_relevant_windows": [[0.0, 2.0, 0.5]], "pred_saliency_scores": [0.1, 0.2]}
+_READERS = [
+    pytest.param(load_annotations, _GOOD_RECORD, ValidationError, "ann.jsonl", id="annotations"),
+    pytest.param(trainer.read_predictions, _GOOD_PREDICTION, trainer.PredictionFormatError, "preds.jsonl",
+                 id="predictions"),
+]
+
+
+@pytest.mark.parametrize("read, good, error, name", _READERS)
+@pytest.mark.parametrize("ends", ["\r\n", "\n\n \t\n", "\r\n\r\n", "\n\r\n"], ids=["crlf", "blank", "crlf-blank", "mixed"])
+def test_readers_take_crlf_and_blank_lines_as_lf(tmp_path, read, good, error, name, ends):
+    lines = [json.dumps(good), json.dumps({**good, "qid": 2})]
+    lf, other = tmp_path / "lf.jsonl", tmp_path / name
+    lf.write_bytes(("\n".join(lines) + "\n").encode())
+    other.write_bytes((ends + ends.join(lines) + ends).encode())
+    assert read(other) == read(lf)
+    assert len(read(lf)) == 2
+
+
+@pytest.mark.parametrize("read, good, error, name", _READERS)
+@pytest.mark.parametrize("ends", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_reader_errors_name_the_file_and_the_line(tmp_path, read, good, error, name, ends):
+    path = tmp_path / name
+    path.write_bytes((json.dumps(good) + ends + "[1, 2]" + ends).encode())
+    with pytest.raises(error, match=f"{name} line 2: expected a JSON object, got list"):
+        read(path)
+    path.write_bytes((json.dumps(good) + ends + ends + "{oops" + ends).encode())
+    with pytest.raises(error, match=f"{name} line 3: invalid JSON"):
+        read(path)
 
 
 def test_validation_takes_ints_for_numbers(tmp_path):

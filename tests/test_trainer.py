@@ -89,6 +89,9 @@ def test_config_defaults_match_documented_values():
         ("weights", {"giou": float("inf")}),
         ("weights", {"cls": -1.0}),
         ("weights", {"saliency": float("-inf")}),
+        ("seed", -3),
+        pytest.param("learning_rate", 10**400, id="learning_rate-int-overflow"),
+        pytest.param("weights", {"l1": 10**400}, id="weights-int-overflow"),
     ],
 )
 def test_config_rejects_bad_fields(field, value):
@@ -493,6 +496,8 @@ def test_zero_length_predicted_span_scores_zero(tiny_data):
         ("pred_saliency_scores", [float("nan")] + [0.0] * 7, "one finite value per clip"),
         ("pred_saliency_scores", [float("inf")] + [0.0] * 7, "one finite value per clip"),
         ("pred_saliency_scores", ["x"] * 8, "could not convert"),
+        ("pred_saliency_scores", [10**400] + [0.0] * 7, "int too large to convert to float"),
+        ("pred_relevant_windows", [[0.0, 10**400, 0.9]], "int too large to convert to float"),
     ],
 )
 def test_evaluate_predictions_refuses_bad_record(tiny_data, field, value, message):
