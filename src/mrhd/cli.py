@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(obj, out_path) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
     if out_path:
-        Path(out_path).write_text(text + "\n", encoding="utf-8")
+        with trainer.replacing(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
         log.info("wrote %s", out_path)
     else:
         print(text)
@@ -135,7 +136,7 @@ def _cmd_gradcheck(args) -> int:
         raise ConfigError("--trials must be >= 1")
     seeds = range(args.seed, args.seed + args.trials)
     report = gradcheck.kernel_suite(seeds)
-    report["end_to_end"] = trainer.end_to_end_check(args.seed)
+    report["end_to_end"] = gradcheck.end_to_end(args.seed)
     _emit(report, args.out)
     return 0
 

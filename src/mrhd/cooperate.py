@@ -197,7 +197,7 @@ def mr2hd(
     """
     length, d = v_hat.shape
     i0, i1 = span_to_clip_range(top_span[0], top_span[1], clip_len, length)
-    hidden = gru_cell(T.slice_rows(v_hat, i0, i1), Tensor(np.zeros((1, d))), params)
+    hidden = gru_cell(T.slice_range(v_hat, i0, i1, axis=0), Tensor(np.zeros((1, d))), params)
 
     dots = T.reshape(T.matmul(v_hat, T.transpose(hidden)), (length,))
     norm_prod = T.mul(row_norms(v_hat), row_norms(hidden))

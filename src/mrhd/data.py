@@ -376,6 +376,14 @@ class SynthConfig:
     noise: float = 0.1
 
     def validate(self) -> None:
+        for name in ("clip_len", "min_moment", "max_moment", "noise"):
+            value = getattr(self, name)
+            if not (value >= 0.0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        if self.clip_len == 0.0:
+            raise ConfigError("clip_len must be positive, got 0.0")
+        if not math.isfinite(self.num_clips * self.clip_len + self.max_moment / self.clip_len):
+            raise ConfigError(f"clip_len must give a finite duration and clips per moment, got {self.clip_len}")
         if self.num_clips < 2:
             raise ConfigError(f"need at least 2 clips, got {self.num_clips}")
         if self.num_samples < 1:
@@ -392,8 +400,6 @@ class SynthConfig:
             )
         if self.min_moment > (self.num_clips - 1) * self.clip_len:
             raise ConfigError("min_moment leaves no clip outside the window")
-        if self.noise < 0:
-            raise ConfigError("noise must be non-negative")
 
 
 def _saliency_base(i: int, start_clip: int, width_clips: int, clip_len: float) -> int:

@@ -6,8 +6,9 @@ h = 1e-5. The reported figure for one input element is
     |analytic - numeric| / max(1, |analytic|, |numeric|)
 
 i.e. absolute error for small gradients, relative error for large ones.
-``check_gradients`` returns the worst such figure over every element of
-every input, which the test suite then thresholds.
+``check_gradients`` returns the worst such figure over the elements it
+probes (every input element in ``kernel_suite``, five parameter entries of
+the full training loss in ``end_to_end``); the test suite thresholds it.
 """
 
 from __future__ import annotations
@@ -15,39 +16,68 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from . import trainer
+from .data import SynthConfig, synth_generate
 from .tensor import Tensor
 
 
-def check_gradients(build, arrays: list[np.ndarray]) -> float:
+def check_gradients(build, arrays: list[np.ndarray], entries=None) -> float:
     """Max scaled mismatch between backprop and central differences.
 
     ``build`` takes a list of Tensors (one per entry of ``arrays``, each
     marked requires_grad) and returns a scalar Tensor. It is re-invoked
     for every probe, so it must be a pure function of its inputs.
+    ``entries`` lists the ``(array, flat index)`` pairs to probe; None
+    probes every element of every array.
     """
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    loss = build(leaves)
-    loss.backward()
-    analytic = [
-        leaf.grad.copy() if leaf.grad is not None else np.zeros_like(leaf.data)
-        for leaf in leaves
-    ]
+    build(leaves).backward()
+    if entries is None:
+        entries = [(which, j) for which, a in enumerate(arrays) for j in range(a.size)]
 
     h = 1e-5
     worst = 0.0
-    for which, base in enumerate(arrays):
-        flat = base.reshape(-1)
-        for j in range(flat.size):
-            bumped = [a.copy() for a in arrays]
-            bumped[which].reshape(-1)[j] = flat[j] + h
-            up = build([Tensor(a) for a in bumped]).item()
-            bumped[which].reshape(-1)[j] = flat[j] - h
-            down = build([Tensor(a) for a in bumped]).item()
-            numeric = (up - down) / (2.0 * h)
-            a_val = analytic[which].reshape(-1)[j]
-            err = abs(a_val - numeric) / max(1.0, abs(a_val), abs(numeric))
-            worst = max(worst, err)
+    for which, j in entries:
+        grad = leaves[which].grad
+        a_val = 0.0 if grad is None else grad.reshape(-1)[j]
+        bumped = [a.copy() for a in arrays]
+        flat = bumped[which].reshape(-1)
+        keep = flat[j]
+        flat[j] = keep + h
+        up = build([Tensor(a) for a in bumped]).item()
+        flat[j] = keep - h
+        down = build([Tensor(a) for a in bumped]).item()
+        numeric = (up - down) / (2.0 * h)
+        err = abs(a_val - numeric) / max(1.0, abs(a_val), abs(numeric))
+        worst = max(worst, err)
     return worst
+
+
+def end_to_end(seed: int) -> float:
+    """``check_gradients`` on the full training loss of a tiny model.
+
+    One synthetic sample (6 clips, 3 tokens, width 8) through a width-8
+    model; the five parameter entries probed are drawn from the model's
+    generator after initialization, each a parameter name and then a flat
+    index into it.
+    """
+    d = 8
+    synth = SynthConfig(num_samples=1, num_clips=6, num_tokens=3, d_v=d, d_t=d, noise=0.3)
+    sample, bundle = synth_generate(synth, seed).samples[0]
+    config = trainer.TrainConfig(seed=seed, d=d, num_queries=3, decoder_layers=1, heads=2, lambda_lg=0.3)
+    rng = np.random.default_rng(seed + 1)
+    params = trainer.init_model(rng, d, d, config)
+    names = sorted(params)
+    entries = []
+    for _ in range(5):
+        which = int(rng.integers(len(names)))
+        entries.append((which, int(rng.integers(params[names[which]].data.size))))
+
+    def build(ts):
+        parts = trainer.forward(sample, bundle, dict(zip(names, ts)), config, "train").parts
+        return trainer.batch_total([parts], config)[0]
+
+    return check_gradients(build, [params[n].data for n in names], entries)
 
 
 def _away_from_kinks(x: np.ndarray, points: list[float]) -> np.ndarray:
@@ -122,8 +152,8 @@ def kernel_suite(seeds: range | list[int]) -> dict[str, float]:
         run("transpose", lambda ts: T.transpose(ts[0]), [a])
         run("concat_rows", lambda ts: T.concat([ts[0], ts[1]], axis=0), [a, c])
         run("concat_cols", lambda ts: T.concat([ts[0], ts[1]], axis=1), [a, c])
-        run("slice_rows", lambda ts: T.slice_rows(ts[0], 1, 3), [a])
-        run("slice_cols", lambda ts: T.slice_cols(ts[0], 1, 3), [a])
+        run("slice_rows", lambda ts: T.slice_range(ts[0], 1, 3, axis=0), [a])
+        run("slice_cols", lambda ts: T.slice_range(ts[0], 1, 3, axis=1), [a])
         idx = rng.integers(0, m, size=5).tolist()
         run("gather_rows", lambda ts: T.gather_rows(ts[0], idx), [a])
         run("broadcast_rows", lambda ts: T.broadcast_rows(ts[0], m), [v])

@@ -201,8 +201,8 @@ def span_cost_and_loss(
     target_cw = Tensor(gt_cw[gt_order])
     l1_term = T.tmean(T.tsum(_tabs(T.sub(matched_cw, target_cw)), axis=1))
 
-    c_p = T.slice_cols(matched_cw, 0, 1)
-    w_p = T.slice_cols(matched_cw, 1, 2)
+    c_p = T.slice_range(matched_cw, 0, 1, axis=1)
+    w_p = T.slice_range(matched_cw, 1, 2, axis=1)
     s_p = T.sub(c_p, T.scale(w_p, 0.5))
     e_p = T.add(c_p, T.scale(w_p, 0.5))
     gt_s = Tensor((gt_cw[gt_order, 0] - gt_cw[gt_order, 1] / 2)[:, None])

@@ -5,14 +5,14 @@ below: a numpy float64 buffer plus a dynamically recorded graph. Each
 kernel stores its parent tensors and a closure that maps the output
 gradient to input gradients; ``backward()`` on a scalar loss replays the
 closures and accumulates into ``.grad``. Kernels hand their fresh output
-buffer to ``_record``, which wraps it as it is (only the numpy scalars that
-0-d results come back as are converted to arrays) and, when some parent
-requires grad, attaches parents and closure and stamps the node with the
-next number of a counter.
+buffer to ``_record``, which wraps it as it is (a 0-d result, a numpy
+scalar or array, becomes a (1,) array: no Tensor is 0-d) and, when some
+parent requires grad, attaches parents and closure and stamps the node
+with the next number of a counter.
 
 The primitive kernels are 2-D matmul, elementwise arithmetic under numpy's
 broadcasting rule, scalar affine ops, a few nonlinearities, axis
-reductions, concat, row/column slicing and gathering, transpose, and
+reductions, concat, slicing along an axis, row gathering, transpose, and
 ``broadcast_rows``, which tiles a vector into a real matrix for
 ``concat``. There are no views; every op materializes a fresh buffer.
 
@@ -144,8 +144,9 @@ def _record(out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tens
         type(out_data) is np.ndarray
         and out_data.dtype == np.float64
         and out_data.flags.c_contiguous
+        and out_data.ndim
     ):
-        out_data = _as_array(out_data)  # numpy scalars from 0-d results
+        out_data = _as_array(out_data)  # 0-d results become (1,)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
@@ -161,6 +162,12 @@ def _record(out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tens
             out._seq = next(_counter)
             break
     return out
+
+
+def _check_axis(x: Tensor, axis: int | None, name: str) -> None:
+    """Refuse an axis outside ``x``'s dimensions (None, every axis, passes)."""
+    if axis is not None and not -x.ndim <= axis < x.ndim:
+        raise ContractError(f"{name} axis {axis} invalid for shape {x.shape}")
 
 
 def _broadcast(op, a: Tensor, b: Tensor, name: str) -> np.ndarray:
@@ -330,8 +337,7 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
 
 def softmax(x: Tensor, axis: int) -> Tensor:
     """Exponentiate-and-normalize along ``axis`` with max subtraction."""
-    if not -x.ndim <= axis < x.ndim:
-        raise ContractError(f"softmax axis {axis} invalid for shape {x.shape}")
+    _check_axis(x, axis, "softmax")
     shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / np.sum(e, axis=axis, keepdims=True)
@@ -348,36 +354,26 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 
 
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-        def backward(g):
-            _accumulate(x, np.broadcast_to(g, x.shape))
+    """Sum along ``axis``, or of every element when it is None."""
+    _check_axis(x, axis, "sum")
+    kept = np.sum(x.data, axis=axis, keepdims=True)
 
-        return _record(np.sum(x.data), (x,), backward)
-    if not -x.ndim <= axis < x.ndim:
-        raise ContractError(f"sum axis {axis} invalid for shape {x.shape}")
+    def backward(g):
+        _accumulate(x, np.broadcast_to(g.reshape(kept.shape), x.shape))
 
-    def backward_axis(g):
-        _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.shape))
-
-    return _record(np.sum(x.data, axis=axis), (x,), backward_axis)
+    return _record(kept.squeeze(axis), (x,), backward)
 
 
 def tmean(x: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-        n = x.data.size
+    """Mean along ``axis``, or of every element when it is None."""
+    _check_axis(x, axis, "mean")
+    kept = np.mean(x.data, axis=axis, keepdims=True)
+    n = x.data.size // max(kept.size, 1)  # the elements in each mean
 
-        def backward(g):
-            _accumulate(x, np.broadcast_to(g / n, x.shape))
+    def backward(g):
+        _accumulate(x, np.broadcast_to(g.reshape(kept.shape) / n, x.shape))
 
-        return _record(np.mean(x.data), (x,), backward)
-    if not -x.ndim <= axis < x.ndim:
-        raise ContractError(f"mean axis {axis} invalid for shape {x.shape}")
-    n = x.shape[axis]
-
-    def backward_axis(g):
-        _accumulate(x, np.broadcast_to(np.expand_dims(g / n, axis), x.shape))
-
-    return _record(np.mean(x.data, axis=axis), (x,), backward_axis)
+    return _record(kept.squeeze(axis), (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -397,47 +393,32 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ContractError("concat needs at least one tensor")
-    ndim = tensors[0].ndim
-    if not -ndim <= axis < ndim:
-        raise ContractError(f"concat axis {axis} invalid for {ndim}-D tensors")
+    _check_axis(tensors[0], axis, "concat")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+    lead = (slice(None),) * (axis % out_data.ndim)  # the axes before ``axis``
 
     def backward(g):
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * ndim
-            sl[axis] = slice(start, stop)
-            _accumulate(t, g[tuple(sl)])
+            _accumulate(t, g[lead + (slice(start, stop),)])
 
     return _record(out_data, tuple(tensors), backward)
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous range along axis 0; gradient scatters back, zero elsewhere."""
-    if not 0 <= start < stop <= x.shape[0]:
-        raise ContractError(f"row slice [{start}:{stop}] invalid for shape {x.shape}")
+def slice_range(x: Tensor, start: int, stop: int, axis: int) -> Tensor:
+    """Contiguous range ``[start, stop)`` along ``axis``; gradient scatters
+    back, zero elsewhere."""
+    _check_axis(x, axis, "slice")
+    if not 0 <= start < stop <= x.shape[axis]:
+        raise ContractError(f"slice [{start}:{stop}] on axis {axis} invalid for shape {x.shape}")
+    index = (slice(None),) * (axis % x.ndim) + (slice(start, stop),)
 
     def backward(g):
         z = np.zeros_like(x.data)
-        z[start:stop] = g
+        z[index] = g
         _accumulate(x, z)
 
-    return _record(x.data[start:stop].copy(), (x,), backward)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.ndim != 2:
-        raise ContractError(f"column slice expects a 2-D tensor, got {x.shape}")
-    if not 0 <= start < stop <= x.shape[1]:
-        raise ContractError(f"column slice [{start}:{stop}] invalid for shape {x.shape}")
-
-    def backward(g):
-        z = np.zeros_like(x.data)
-        z[:, start:stop] = g
-        _accumulate(x, z)
-
-    return _record(x.data[:, start:stop].copy(), (x,), backward)
+    return _record(x.data[index].copy(), (x,), backward)
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:

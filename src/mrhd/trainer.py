@@ -369,7 +369,7 @@ class Checkpoint:
 
 
 @contextmanager
-def _replacing(path, mode: str, **kwargs):
+def replacing(path, mode: str, **kwargs):
     """Write through a temp file beside ``path`` that replaces it only once
     fully written and synced, so an interrupted write leaves the old file
     or none, never a partial one."""
@@ -404,7 +404,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         ],
     }
     blob = json.dumps(header).encode("utf-8")
-    with _replacing(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
@@ -607,7 +607,7 @@ def predict(ckpt: Checkpoint, dataset: Dataset, out_path=None) -> list[dict]:
             }
         )
     if out_path is not None:
-        with _replacing(out_path, "w", encoding="utf-8") as fh:
+        with replacing(out_path, "w", encoding="utf-8") as fh:
             for rec in records:
                 fh.write(json.dumps(rec) + "\n")
     return records
@@ -730,49 +730,3 @@ def sweep_lambda(
             }
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# end-to-end gradient probe
-
-
-def end_to_end_check(seed: int) -> float:
-    """Finite-difference check of the full pipeline's total loss.
-
-    Builds a tiny synthetic sample (6 clips, 3 tokens, width 8), backpropagates
-    once, then probes five randomly chosen parameter entries with central
-    differences at h = 1e-5. Returns the worst scaled error.
-    """
-    from .data import SynthConfig, synth_generate
-
-    h, d = 1e-5, 8
-    synth = SynthConfig(num_samples=1, num_clips=6, num_tokens=3, d_v=d, d_t=d, noise=0.3)
-    sample, bundle = synth_generate(synth, seed).samples[0]
-    config = TrainConfig(seed=seed, d=d, num_queries=3, decoder_layers=1, heads=2, lambda_lg=0.3)
-    rng = np.random.default_rng(seed + 1)
-    params = init_model(rng, d, d, config)
-
-    def total() -> Tensor:
-        return batch_total([forward(sample, bundle, params, config, "train").parts], config)[0]
-
-    zero_grad(params)
-    total().backward()
-    grads = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for k, p in params.items()}
-
-    names = sorted(params)
-    worst = 0.0
-    for _ in range(5):
-        name = names[int(rng.integers(len(names)))]
-        flat = params[name].data.reshape(-1)
-        idx = int(rng.integers(flat.size))
-        keep = flat[idx]
-        flat[idx] = keep + h
-        up = total().item()
-        flat[idx] = keep - h
-        down = total().item()
-        flat[idx] = keep
-        numeric = (up - down) / (2.0 * h)
-        analytic = float(grads[name].reshape(-1)[idx])
-        err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-        worst = max(worst, err)
-    return worst

@@ -14,7 +14,7 @@ import pytest
 from mrhd import align, cooperate, losses, metrics, refine, trainer
 from mrhd import tensor as T
 from mrhd.data import Dataset, SynthConfig, synth_generate
-from mrhd.gradcheck import kernel_suite
+from mrhd.gradcheck import end_to_end, kernel_suite
 from mrhd.losses import LossWeights
 from mrhd.tensor import Tensor
 
@@ -42,7 +42,7 @@ def test_criterion_1_gradient_suite():
     start = time.monotonic()
     report = kernel_suite(range(100))
     worst_kernel = max(report.values())
-    worst_e2e = max(trainer.end_to_end_check(seed) for seed in range(5))
+    worst_e2e = max(end_to_end(seed) for seed in range(5))
     elapsed = time.monotonic() - start
     print(
         f"criterion 1: worst kernel {worst_kernel:.2e} (<1e-4), "

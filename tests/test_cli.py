@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import pytest
 
@@ -96,6 +97,30 @@ def test_synth_rejects_widths_below_one(tmp_path, caplog, widths):
     bad.write_text(json.dumps(widths))
     assert cli.main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
     assert "feature widths must be positive" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ('{"clip_len": NaN}', "clip_len"),
+        ('{"min_moment": NaN}', "min_moment"),
+        ('{"max_moment": NaN}', "max_moment"),
+        ('{"clip_len": 0, "min_moment": 0}', "clip_len"),
+        ('{"clip_len": Infinity}', "clip_len"),
+        ('{"clip_len": -1, "min_moment": -50}', "clip_len"),
+        ('{"min_moment": -1}', "min_moment"),
+        ('{"clip_len": 1e308}', "clip_len"),
+        ('{"clip_len": 1e-310, "min_moment": 0}', "clip_len"),
+        ('{"noise": NaN}', "noise"),
+    ],
+)
+def test_synth_rejects_unusable_lengths_and_noise_before_writing(tmp_path, caplog, config, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(config)
+    out = tmp_path / "d"
+    assert cli.main(["synth", "--config", str(bad), "--out", str(out)]) == 1
+    assert caplog.messages[-1].startswith(f"{field} must ")
+    assert not out.exists()
 
 
 def test_train_eval_predict_pipeline(tiny_dir, tmp_path, capsys):
@@ -472,6 +497,25 @@ def test_gradcheck_deterministic(capsys):
     report = json.loads(first)
     assert "matmul" in report and "end_to_end" in report
     assert all(v < 1e-3 for v in report.values())
+
+
+def test_interrupted_report_write_keeps_the_old_file(tmp_path, monkeypatch):
+    """The ``--out`` report of eval, gradcheck and sweep goes through a temp
+    file that replaces the target only once fully written."""
+    report = tmp_path / "report.json"
+    report.write_text("old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        cli._emit({"matmul": 0.0}, report)
+    monkeypatch.undo()
+    assert report.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    cli._emit({"matmul": 0.0}, report)
+    assert json.loads(report.read_text()) == {"matmul": 0.0}
 
 
 def test_sweep_emits_table(tiny_dir, tmp_path, capsys):

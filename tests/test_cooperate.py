@@ -238,7 +238,7 @@ def test_mr2hd_single_clip_span_is_one_gru_step():
     assert got.shape == (L,)
 
     one_step = C.gru_cell(
-        T.slice_rows(v_hat, 0, 1), Tensor(np.zeros((1, D))), params
+        T.slice_range(v_hat, 0, 1, axis=0), Tensor(np.zeros((1, D))), params
     ).data
     dots = v_hat.data @ one_step.T
     eps = 1e-8

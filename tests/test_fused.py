@@ -38,7 +38,7 @@ def ref_attention(q, k, v, heads):
     outputs = []
     for h in range(heads):
         lo, hi = h * dh, (h + 1) * dh
-        qh, kh, vh = (T.slice_cols(m, lo, hi) for m in (q, k, v))
+        qh, kh, vh = (T.slice_range(m, lo, hi, axis=1) for m in (q, k, v))
         w = T.softmax(T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(dh)), axis=1)
         outputs.append(T.matmul(w, vh))
     return T.concat(outputs, axis=1)
@@ -62,7 +62,7 @@ def ref_gru_step(x, hidden, params):
 def ref_gru_cell(x, hidden, params):
     """One primitive step per row of ``x``, each on its own row slice."""
     for t in range(x.shape[0]):
-        hidden = ref_gru_step(T.slice_rows(x, t, t + 1), hidden, params)
+        hidden = ref_gru_step(T.slice_range(x, t, t + 1, axis=0), hidden, params)
     return hidden
 
 

@@ -1,8 +1,11 @@
 """tools/output_hashes.py: the hash table of training and prediction outputs."""
 
+import hashlib
 import importlib.util
 import re
 from pathlib import Path
+
+from mrhd import cli
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "output_hashes.py"
 _spec = importlib.util.spec_from_file_location("output_hashes", _PATH)
@@ -21,7 +24,14 @@ def test_table_has_a_row_of_hashes_per_workload(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "seed 3"
     assert lines[1] == "| workload | params | adam_m | adam_v | breakdown | predict |"
-    assert len(lines) == 4 and re.fullmatch(r"\| train-overfit( \| [0-9a-f]{16}){5} \|", lines[3])
+    assert len(lines) == 5 and re.fullmatch(r"\| train-overfit( \| [0-9a-f]{16}){5} \|", lines[3])
+    assert re.fullmatch(r"gradcheck [0-9a-f]{16}", lines[4])
+
+
+def test_gradcheck_line_hashes_the_gradcheck_report(capsys):
+    assert cli.main(["gradcheck", "--seed", "3"]) == 0
+    report = capsys.readouterr().out
+    assert output_hashes.gradcheck_digest(3) == hashlib.sha256(report.encode()).hexdigest()[:16]
 
 
 def test_rows_repeat_for_a_seed_and_move_with_it():

@@ -54,14 +54,20 @@ def test_item_requires_single_element():
     [
         lambda: T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))),
         lambda: T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)))),
-        lambda: T.slice_rows(Tensor(np.ones((4, 2))), 3, 3),
-        lambda: T.slice_cols(Tensor(np.ones((4, 2))), 0, 5),
+        lambda: T.slice_range(Tensor(np.ones((4, 2))), 3, 3, axis=0),
+        lambda: T.slice_range(Tensor(np.ones((4, 2))), 0, 5, axis=1),
         lambda: T.gather_rows(Tensor(np.ones((4, 2))), [0, 4]),
         lambda: T.broadcast_rows(Tensor(np.ones((2, 2))), 3),
         lambda: T.softmax(Tensor(np.ones((2, 2))), axis=2),
         lambda: T.reshape(Tensor(np.ones((2, 3))), (4, 2)),
         lambda: T.concat([], axis=0),
         lambda: T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((2,)))),
+        lambda: T.slice_range(Tensor(np.ones((4, 2))), 1, 1, axis=1),
+        lambda: T.slice_range(Tensor(np.ones((4, 2))), 2, 1, axis=0),
+        lambda: T.slice_range(Tensor(np.ones((4, 2))), 2, 5, axis=0),
+        lambda: T.slice_range(Tensor(np.ones((4, 2))), 0, 1, axis=2),
+        lambda: T.slice_range(Tensor(np.ones((4, 2))), 0, 1, axis=-3),
+        lambda: T.slice_range(Tensor(np.ones(4)), 0, 1, axis=1),
     ],
 )
 def test_shape_violations_raise(bad):
@@ -106,6 +112,48 @@ def test_backward_adds_contributions_in_reverse_creation_order(combine):
     in_reverse_creation_order = (np.float64(-1e16) + 1e16) + 1.0
     assert in_reverse_creation_order != (np.float64(1.0) + 1e16) + -1e16
     assert x.grad.tobytes() == np.array([in_reverse_creation_order]).tobytes()
+
+
+def test_slice_range_counts_negative_axes_from_the_end():
+    x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    out = T.slice_range(x, 1, 3, axis=-1)
+    assert out.data.tobytes() == x.data[:, 1:3].copy().tobytes()
+    T.tsum(out).backward()
+    assert np.array_equal(x.grad, [[0, 1, 1, 0]] * 3)
+
+
+@pytest.mark.parametrize("reduce", [T.tsum, T.tmean])
+def test_reducing_a_vector_along_its_axis_backpropagates(reduce):
+    """A vector reduced along axis 0 gives a (1,) result, as over every
+    axis, and its gradient spreads back over the vector."""
+    x = Tensor(np.arange(4.0), requires_grad=True)
+    T.tsum(T.scale(reduce(x, axis=0), 3.0)).backward()
+    assert np.array_equal(x.grad, np.full(4, 3.0 if reduce is T.tsum else 0.75))
+
+
+def _square_wrong_at(x, flat_index):
+    """``x * x`` whose backward is off by one at ``flat_index``."""
+
+    def backward(g):
+        wrong = 2.0 * x.data
+        wrong.reshape(-1)[flat_index] += 1.0
+        T._accumulate(x, g * wrong)
+
+    return T._record(x.data * x.data, (x,), backward)
+
+
+def test_check_gradients_probes_the_entries_it_is_given():
+    """The error shows when the wrong element is among the entries probed,
+    and not when only the others are; entries name (array, flat index)."""
+    arrays = [np.linspace(-1.0, 1.0, 6).reshape(2, 3), np.linspace(0.5, 2.0, 12).reshape(3, 4)]
+
+    def build(ts):
+        return T.add(T.tsum(T.mul(ts[0], ts[0])), T.tsum(_square_wrong_at(ts[1], 6)))
+
+    assert check_gradients(build, arrays) > 0.1
+    assert check_gradients(build, arrays, [(0, 2), (1, 6)]) > 0.1
+    others = [(0, j) for j in range(6)] + [(1, j) for j in range(12) if j != 6]
+    assert check_gradients(build, arrays, others) < 1e-8
 
 
 def test_gather_rows_accumulates_repeats():

@@ -9,6 +9,7 @@ import pytest
 from mrhd import tensor as T
 from mrhd import trainer
 from mrhd.data import ConfigError, Dataset, SynthConfig, synth_generate
+from mrhd.gradcheck import end_to_end
 from mrhd.losses import LossWeights
 from mrhd.tensor import Tensor
 
@@ -168,7 +169,7 @@ def test_single_sample_global_term_is_zero(tiny_data, tiny_model):
 
 
 def test_end_to_end_gradients(tiny_data):
-    assert trainer.end_to_end_check(0) < 1e-3
+    assert end_to_end(0) < 1e-3
 
 
 def test_batch_gradient_is_mean_of_sample_gradients(tiny_data, tiny_model):

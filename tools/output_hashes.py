@@ -10,6 +10,10 @@ config, and hashes the trained params, Adam's first and second moments, the
 batch otherwise. Two trees whose tables are equal produce the same bits;
 one changed cell names the first stage whose output moved.
 
+A last line hashes the JSON report of ``mrhd gradcheck --seed N`` (the
+kernel suite over seeds N to N+2 plus the end-to-end probe at N), so the
+same command also shows whether every kernel gradient kept its bits.
+
 BLAS and OpenMP run single-threaded, as in the benchmark, so that a table
 does not depend on the thread count.
 """
@@ -31,7 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from mrhd import trainer  # noqa: E402
+from mrhd import gradcheck, trainer  # noqa: E402
 
 COLUMNS = ("params", "adam_m", "adam_v", "breakdown", "predict")
 
@@ -63,6 +67,13 @@ def row(w: workloads.Workload, seed: int) -> dict[str, str]:
     }
 
 
+def gradcheck_digest(seed: int) -> str:
+    """The hash of the report ``mrhd gradcheck --seed N`` prints to stdout."""
+    report = gradcheck.kernel_suite(range(seed, seed + 3))
+    report["end_to_end"] = gradcheck.end_to_end(seed)
+    return _digest([(json.dumps(report, indent=2, sort_keys=True) + "\n").encode()])
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seed", type=int, default=11)
@@ -74,6 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in args.workload or workloads.WORKLOADS:
         cells = row(workloads.WORKLOADS[name], args.seed)
         print(f"| {name} | " + " | ".join(cells[c] for c in COLUMNS) + " |", flush=True)
+    print(f"gradcheck {gradcheck_digest(args.seed)}")
     return 0
 
 
