@@ -79,8 +79,8 @@ def _mlp(x: Tensor, params: dict, branch: str) -> Tensor:
 
 def project(bundle: FeatureBundle, params: dict) -> tuple[Tensor, Tensor]:
     """Map clip features (audio concatenated when present) and word features
-    into the shared d-dimensional space: (L, d) clips ``v_hat`` and (N, d)
-    words ``t_hat``."""
+    into the shared d-dimensional space: (..., L, d) clips ``v_hat`` and
+    (..., N, d) words ``t_hat``, with the bundle's leading (sample) axes."""
     v_hat = _mlp(Tensor(bundle.effective_visual()), params, "proj_v")
     t_hat = _mlp(Tensor(bundle.text), params, "proj_t")
     return v_hat, t_hat
@@ -94,20 +94,23 @@ def row_norms(x: Tensor) -> Tensor:
     # EPS_NORM**2 inside the sqrt keeps its backward finite on an exactly
     # zero row (which layer-norm produces from any constant row); the outer
     # EPS_NORM keeps the later division well-defined.
-    sumsq = T.add_scalar(T.tsum(T.mul(x, x), axis=1), EPS_NORM**2)
+    sumsq = T.add_scalar(T.tsum(T.mul(x, x), axis=-1), EPS_NORM**2)
     return T.add_scalar(T.sqrt(sumsq), EPS_NORM)
 
 
 def local_similarity(v_hat: Tensor, t_hat: Tensor) -> tuple[Tensor, Tensor]:
     """Sigmoid cosine similarity of every clip against every word.
 
-    Returns the full (L, N) matrix and its per-clip mean over words.
+    Returns the full (..., L, N) matrix and its per-clip mean over words.
     """
-    L = v_hat.shape[0]
     dots = T.matmul(v_hat, T.transpose(t_hat))
-    denom = T.mul(T.reshape(row_norms(v_hat), (L, 1)), row_norms(t_hat))
+    v_norms, t_norms = row_norms(v_hat), row_norms(t_hat)
+    denom = T.mul(
+        T.reshape(v_norms, v_norms.shape + (1,)),
+        T.reshape(t_norms, t_norms.shape[:-1] + (1,) + t_norms.shape[-1:]),
+    )
     s_loc = T.sigmoid(T.div(dots, denom))
-    return s_loc, T.tmean(s_loc, axis=1)
+    return s_loc, T.tmean(s_loc, axis=-1)
 
 
 def bce_terms(p: Tensor, targets: np.ndarray) -> Tensor:
@@ -123,8 +126,9 @@ def bce_terms(p: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def local_loss(s_hat: Tensor, clip_relevance: np.ndarray) -> Tensor:
-    """Binary cross-entropy against clip relevance, summed over the L clips."""
-    return T.tsum(bce_terms(s_hat, np.asarray(clip_relevance, dtype=np.float64)))
+    """Binary cross-entropy against clip relevance, summed over the L clips
+    of each sample."""
+    return T.tsum(bce_terms(s_hat, np.asarray(clip_relevance, dtype=np.float64)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +136,11 @@ def local_loss(s_hat: Tensor, clip_relevance: np.ndarray) -> Tensor:
 
 
 def pooled_globals(v_hat: Tensor, t_hat: Tensor) -> tuple[Tensor, Tensor]:
-    """Mean over clips and mean over words, each reshaped to a (1, d) row."""
-    d = v_hat.shape[1]
+    """Mean over clips and mean over words, one (1, d) row per sample."""
+    shape = (math.prod(v_hat.shape[:-2]), v_hat.shape[-1])
     return (
-        T.reshape(T.tmean(v_hat, axis=0), (1, d)),
-        T.reshape(T.tmean(t_hat, axis=0), (1, d)),
+        T.reshape(T.tmean(v_hat, axis=-2), shape),
+        T.reshape(T.tmean(t_hat, axis=-2), shape),
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import gradcheck, trainer
-from .data import ConfigError, InputError, SynthConfig, load_dataset, synth_generate, write_dataset
+from .data import ConfigError, FeatureFormatError, InputError, SynthConfig, load_dataset, synth_generate, write_dataset
 
 log = logging.getLogger("mrhd")
 
@@ -100,7 +100,12 @@ def _train_config(args) -> trainer.TrainConfig:
 def _cmd_synth(args) -> int:
     cfg = trainer.read_config(args.config, SynthConfig, "generator config")
     ds = synth_generate(cfg, args.seed)
-    write_dataset(ds, args.out)
+    try:
+        write_dataset(ds, args.out)
+    except FeatureFormatError:
+        # validate bounds every field but the noise, whose draws decide
+        # whether a feature leaves float32's range
+        raise ConfigError(f"noise must keep every feature within float32's range, got {cfg.noise}") from None
     _emit({"out": str(args.out), "num_samples": len(ds), "seed": args.seed}, None)
     return 0
 

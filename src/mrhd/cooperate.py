@@ -101,16 +101,14 @@ def highlight_head(joint: Tensor, params: dict, heads: int) -> Tensor:
     """Clip scores: shared self-attention block, then a linear map to one
     logit per clip."""
     encoded = transformer_block(joint, params, SHARED_PREFIX, heads)
-    length = encoded.shape[0]
-    return T.reshape(linear(encoded, params, "highlight"), (length,))
+    return T.reshape(linear(encoded, params, "highlight"), encoded.shape[:-1])
 
 
 def hd2mr(joint: Tensor, h: Tensor, params: dict, heads: int) -> Tensor:
     """Enhance joint features with softmaxed highlight scores, then re-encode
     with the same shared block the highlight head used."""
-    length = joint.shape[0]
-    weights = T.softmax(h, axis=0)
-    scaled = T.mul(joint, T.reshape(weights, (length, 1)))
+    weights = T.softmax(h, axis=-1)
+    scaled = T.mul(joint, T.reshape(weights, weights.shape + (1,)))
     return transformer_block(T.add(joint, scaled), params, SHARED_PREFIX, heads)
 
 
@@ -121,13 +119,15 @@ def hd2mr(joint: Tensor, h: Tensor, params: dict, heads: int) -> Tensor:
 def moment_decoder(
     z_hat: Tensor, params: dict, heads: int, decoder_layers: int
 ) -> tuple[Tensor, Tensor]:
-    """(M, 2) normalized (center, width) spans and (M,) foreground scores."""
+    """(..., M, 2) normalized (center, width) spans and (..., M) foreground
+    scores; a batch of memories reads one copy of the queries per sample."""
     q = params["decoder.queries"]
+    if z_hat.ndim > 2:
+        q = q.per_sample(z_hat.shape[0])
     for k in range(decoder_layers):
         q = transformer_block(q, params, f"decoder.layer{k}", heads, memory=z_hat)
-    m = q.shape[0]
     center_width = T.sigmoid(linear(q, params, "decoder.span"))
-    scores = T.reshape(T.sigmoid(linear(q, params, "decoder.cls")), (m,))
+    scores = T.reshape(T.sigmoid(linear(q, params, "decoder.cls")), q.shape[:-1])
     return center_width, scores
 
 
@@ -152,14 +152,15 @@ _GRU_WEIGHTS = (
 )
 
 
-def gru_cell(x: Tensor, hidden: Tensor, params: dict) -> Tensor:
-    """Run the GRU over the rows of ``x`` in turn from the (1, d) state
-    ``hidden``, and return the last state (one graph node for the chain).
+def gru_cell(x: Tensor, spans, hidden: Tensor, params: dict) -> Tensor:
+    """Run the GRU over rows [i0, i1) of ``x`` in turn from the (1, d) state
+    ``hidden``, with one row range in ``spans`` per sample, and return each
+    last state (one graph node for every chain).
 
     Per row: update u = sigm(Wu x + Uu h), reset r = sigm(Wr x + Ur h),
     candidate c = tanh(Wc x + Uc (r*h)), h <- (1-u)*h + u*c.
     """
-    return T.gru(x, hidden, tuple(params[f"gru.{name}"] for name in _GRU_WEIGHTS))
+    return T.gru(x, spans, hidden, tuple(params[f"gru.{name}"] for name in _GRU_WEIGHTS))
 
 
 def span_to_clip_range(start: float, end: float, clip_len: float, num_clips: int) -> tuple[int, int]:
@@ -179,30 +180,27 @@ def span_to_clip_range(start: float, end: float, clip_len: float, num_clips: int
     return i0, i1
 
 
-def mr2hd(
-    v_hat: Tensor,
-    joint: Tensor,
-    z_hat: Tensor,
-    top_span: tuple[float, float],
-    clip_len: float,
-    params: dict,
-) -> Tensor:
+def mr2hd(v_hat: Tensor, joint: Tensor, z_hat: Tensor, top_span, clip_len, params: dict) -> Tensor:
     """Refined highlight scores from the retrieved moment.
 
-    One GRU chain (zero initial state, one graph node) summarizes the top
-    span's rows of the projected clip features; every clip is scored by
-    cosine similarity against that summary; the softmaxed similarities
-    re-weight the enhanced features, which are added back to the joint
-    features and mapped to one score per clip.
+    ``top_span`` holds each sample's (start, end) seconds, shape (..., 2),
+    and ``clip_len`` its clip length, shape (...). One GRU chain per sample
+    (zero initial state, one graph node for all) summarizes the top span's
+    rows of the projected clip features; every clip is scored by cosine
+    similarity against that summary; the softmaxed similarities re-weight
+    the enhanced features, which are added back to the joint features and
+    mapped to one score per clip.
     """
-    length, d = v_hat.shape
-    i0, i1 = span_to_clip_range(top_span[0], top_span[1], clip_len, length)
-    hidden = gru_cell(T.slice_range(v_hat, i0, i1, axis=0), Tensor(np.zeros((1, d))), params)
+    batch, (length, d) = v_hat.shape[:-2], v_hat.shape[-2:]
+    tops = np.reshape(top_span, (-1, 2)).tolist()
+    clip_lens = np.broadcast_to(clip_len, batch).reshape(-1).tolist()
+    spans = [span_to_clip_range(start, end, cl, length) for (start, end), cl in zip(tops, clip_lens)]
+    hidden = gru_cell(v_hat, np.reshape(spans, batch + (2,)), Tensor(np.zeros(batch + (1, d))), params)
 
-    dots = T.reshape(T.matmul(v_hat, T.transpose(hidden)), (length,))
+    dots = T.reshape(T.matmul(v_hat, T.transpose(hidden)), batch + (length,))
     norm_prod = T.mul(row_norms(v_hat), row_norms(hidden))
     s_ref = T.div(dots, norm_prod)
-    weights = T.softmax(s_ref, axis=0)
-    reweighted = T.mul(z_hat, T.reshape(weights, (length, 1)))
+    weights = T.softmax(s_ref, axis=-1)
+    reweighted = T.mul(z_hat, T.reshape(weights, batch + (length, 1)))
     refined = linear(T.add(joint, reweighted), params, "refine_out")
-    return T.reshape(refined, (length,))
+    return T.reshape(refined, batch + (length,))

@@ -80,7 +80,7 @@ class FeatureBundle:
         """Visual features, with audio concatenated per clip when present."""
         if self.audio is None:
             return self.visual
-        return np.concatenate([self.visual, self.audio], axis=1)
+        return np.concatenate([self.visual, self.audio], axis=-1)
 
 
 @dataclass
@@ -95,17 +95,26 @@ class Dataset:
 # binary feature files
 
 
-def write_features(path, matrix: np.ndarray) -> None:
-    """Write a 2-D float matrix: 8-byte magic, LE uint32 rows/cols, LE float32 data."""
+def _feature_payload(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as the float32 rows a feature file holds, refused unless
+    it is 2-D and every value stays finite at that precision."""
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise FeatureFormatError(f"feature matrices are 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf
+        payload = arr.astype("<f4")
+    if not np.all(np.isfinite(payload)):
         raise FeatureFormatError("refusing to write non-finite features")
+    return payload
+
+
+def write_features(path, matrix: np.ndarray) -> None:
+    """Write a 2-D float matrix: 8-byte magic, LE uint32 rows/cols, LE float32 data."""
+    payload = _feature_payload(matrix)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        fh.write(arr.astype("<f4").tobytes(order="C"))
+        fh.write(struct.pack("<II", payload.shape[0], payload.shape[1]))
+        fh.write(payload.tobytes(order="C"))
 
 
 def read_features(path) -> np.ndarray:
@@ -309,8 +318,21 @@ def load_dataset(annotations_path, feature_dir) -> Dataset:
 
 
 def write_dataset(ds: Dataset, out_dir) -> None:
-    """Persist a dataset as annotations.jsonl plus per-id feature files."""
+    """Persist a dataset as annotations.jsonl plus per-id feature files.
+
+    Every feature matrix is cast and checked before any file is written, so
+    a matrix that cannot be written leaves no partial dataset behind.
+    """
     out_dir = Path(out_dir)
+    features: list[tuple[str, np.ndarray]] = []  # file name and payload, in writing order
+    written_vids: set[str] = set()
+    for sample, bundle in ds.samples:
+        if sample.vid not in written_vids:
+            features.append((f"{sample.vid}.vfeat", _feature_payload(bundle.visual)))
+            if bundle.audio is not None:
+                features.append((f"{sample.vid}.afeat", _feature_payload(bundle.audio)))
+            written_vids.add(sample.vid)
+        features.append((f"{sample.qid}.tfeat", _feature_payload(bundle.text)))
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "annotations.jsonl", "w", encoding="utf-8") as fh:
         for sample, bundle in ds.samples:
@@ -324,14 +346,8 @@ def write_dataset(ds: Dataset, out_dir) -> None:
                 "saliency_scores": [list(r) for r in sample.saliency],
             }
             fh.write(json.dumps(rec) + "\n")
-    written_vids: set[str] = set()
-    for sample, bundle in ds.samples:
-        if sample.vid not in written_vids:
-            write_features(out_dir / f"{sample.vid}.vfeat", bundle.visual)
-            if bundle.audio is not None:
-                write_features(out_dir / f"{sample.vid}.afeat", bundle.audio)
-            written_vids.add(sample.vid)
-        write_features(out_dir / f"{sample.qid}.tfeat", bundle.text)
+    for name, payload in features:
+        write_features(out_dir / name, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +398,8 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.clip_len == 0.0:
             raise ConfigError("clip_len must be positive, got 0.0")
+        if self.num_clips > _MAX_ELEMENTS:  # before it meets a float
+            raise ConfigError(f"num_clips must be at most {_MAX_ELEMENTS}, got {self.num_clips}")
         if not math.isfinite(self.num_clips * self.clip_len + self.max_moment / self.clip_len):
             raise ConfigError(f"clip_len must give a finite duration and clips per moment, got {self.clip_len}")
         if self.num_clips < 2:
@@ -452,14 +470,14 @@ def synth_generate(config: SynthConfig, seed: int) -> Dataset:
             )
         text = centroid + 0.5 * config.noise * rng.standard_normal((config.num_tokens, d_t))
 
-        biases = rng.integers(-1, 2, size=3)
+        biases = rng.integers(-1, 2, size=3).tolist()
         ratings = []
         for c in range(L):
             if inside[c]:
                 base = _saliency_base(c, start_clip, width_clips, cl)
             else:
                 base = int(rng.integers(0, 2))
-            ratings.append(tuple(int(np.clip(base + b, 0, 4)) for b in biases))
+            ratings.append(tuple(min(max(base + b, 0), 4) for b in biases))
 
         sample = QuerySample(
             qid=i,

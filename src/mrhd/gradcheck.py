@@ -168,5 +168,5 @@ def kernel_suite(seeds: range | list[int]) -> dict[str, float]:
         # Whc, bhc at width 2
         chain = [rng.standard_normal((3, 2)), rng.standard_normal((1, 2))]
         weights = [rng.standard_normal((2, 2) if i % 2 == 0 else 2) for i in range(12)]
-        run("gru", lambda ts: T.gru(ts[0], ts[1], tuple(ts[2:])), chain + weights)
+        run("gru", lambda ts: T.gru(ts[0], (0, 3), ts[1], tuple(ts[2:])), chain + weights)
     return worst

@@ -184,34 +184,45 @@ def _span_cost(
 
 
 def span_cost_and_loss(
-    center_width: Tensor, scores: Tensor, gt_windows, duration: float, weights: LossWeights
+    center_width: Tensor, scores: Tensor, gt_cw, weights: LossWeights
 ) -> Tensor:
-    """The moment loss of the decoder's (M, 2) spans and (M,) scores.
+    """The moment loss of the decoder's (..., M, 2) spans and (..., M) scores
+    against each sample's (G, 2) ground truths ``gt_cw`` (shape (..., G, 2),
+    from ``windows_to_center_width``): one loss per sample.
 
-    Matches by ``_span_cost`` (numpy, detached), then charges (graph) the
-    matched-pair means of the L1 and gIoU terms plus a foreground
-    cross-entropy over all M scores (matched -> 1).
+    Matches each sample by ``_span_cost`` (numpy, detached), then charges
+    (graph) the matched-pair means of the L1 and gIoU terms plus a
+    foreground cross-entropy over all M scores (matched -> 1).
     """
-    gt_cw = windows_to_center_width(gt_windows, duration)
-    pairs = hungarian_match(_span_cost(center_width.data, scores.data, gt_cw, weights))
-    pred_order = [p for p, _ in pairs]
-    gt_order = [g_ for _, g_ in pairs]
+    gt_cw = np.asarray(gt_cw, dtype=np.float64)
+    batch, num_gt = scores.shape[:-1], gt_cw.shape[-2]
+    pairs = [
+        hungarian_match(_span_cost(cw, sc, gt, weights))
+        for cw, sc, gt in zip(
+            center_width.data.reshape((-1,) + center_width.shape[-2:]),
+            scores.data.reshape((-1,) + scores.shape[-1:]),
+            gt_cw.reshape((-1,) + gt_cw.shape[-2:]),
+        )
+    ]
+    pred_order = np.reshape([[p for p, _ in pp] for pp in pairs], batch + (num_gt,))
+    gt_order = np.reshape([[g_ for _, g_ in pp] for pp in pairs], batch + (num_gt, 1))
+    target_cw = np.take_along_axis(gt_cw, gt_order, axis=-2)
 
     matched_cw = T.gather_rows(center_width, pred_order)
-    target_cw = Tensor(gt_cw[gt_order])
-    l1_term = T.tmean(T.tsum(_tabs(T.sub(matched_cw, target_cw)), axis=1))
+    l1_term = T.tmean(T.tsum(_tabs(T.sub(matched_cw, Tensor(target_cw))), axis=-1), axis=-1)
 
-    c_p = T.slice_range(matched_cw, 0, 1, axis=1)
-    w_p = T.slice_range(matched_cw, 1, 2, axis=1)
+    c_p = T.slice_range(matched_cw, 0, 1, axis=-1)
+    w_p = T.slice_range(matched_cw, 1, 2, axis=-1)
     s_p = T.sub(c_p, T.scale(w_p, 0.5))
     e_p = T.add(c_p, T.scale(w_p, 0.5))
-    gt_s = Tensor((gt_cw[gt_order, 0] - gt_cw[gt_order, 1] / 2)[:, None])
-    gt_e = Tensor((gt_cw[gt_order, 0] + gt_cw[gt_order, 1] / 2)[:, None])
-    giou_term = T.tmean(T.add_scalar(T.scale(giou_1d(s_p, e_p, gt_s, gt_e), -1.0), 1.0))
+    gt_s = Tensor((target_cw[..., 0] - target_cw[..., 1] / 2)[..., None])
+    gt_e = Tensor((target_cw[..., 0] + target_cw[..., 1] / 2)[..., None])
+    giou = T.add_scalar(T.scale(giou_1d(s_p, e_p, gt_s, gt_e), -1.0), 1.0)
+    giou_term = T.tmean(T.reshape(giou, batch + (num_gt,)), axis=-1)
 
-    targets = np.zeros(scores.shape[0])
-    targets[pred_order] = 1.0
-    cls_term = T.tmean(bce_terms(scores, targets))
+    targets = np.zeros(scores.shape)
+    np.put_along_axis(targets, pred_order, 1.0, axis=-1)
+    cls_term = T.tmean(bce_terms(scores, targets), axis=-1)
 
     return T.add(
         T.add(T.scale(l1_term, weights.l1), T.scale(giou_term, weights.giou)),
@@ -249,9 +260,10 @@ def saliency_pairs(sample: QuerySample, seed: int) -> list[tuple[int, int]]:
     return list(zip(high.tolist(), low.tolist()))
 
 
-def saliency_loss(h: Tensor, h_bar: Tensor, sample: QuerySample, seed: int) -> Tensor:
-    """Margin ranking hinge (margin ``SALIENCY_MARGIN``) over sampled clip
-    pairs, summed across both heads.
+def saliency_loss(h: Tensor, h_bar: Tensor, pairs) -> Tensor:
+    """Margin ranking hinge (margin ``SALIENCY_MARGIN``) over each sample's
+    sampled (high, low) clip pairs, shape (..., P, 2) (``saliency_pairs``;
+    the same count for every sample), summed across both heads.
 
     Each head's hinge is averaged over the pairs still inside the margin,
     not over all sampled pairs: most pairs (inside versus outside the
@@ -260,19 +272,19 @@ def saliency_loss(h: Tensor, h_bar: Tensor, sample: QuerySample, seed: int) -> T
     pair is violated the two means agree. No valid pair means no
     supervision signal: loss 0.
     """
-    pairs = saliency_pairs(sample, seed)
-    if not pairs:
-        return Tensor(0.0)
-    high_idx = [i for i, _ in pairs]
-    low_idx = [j for _, j in pairs]
+    pairs = np.asarray(pairs, dtype=np.int64)
+    if pairs.size == 0:
+        return Tensor(np.zeros(h.shape[:-1]))
+    pairs = pairs.reshape(h.shape[:-1] + (-1, 2))
+    high_idx, low_idx = pairs[..., 0], pairs[..., 1]
 
     def hinge(scores: Tensor) -> Tensor:
         gap = T.add_scalar(
             T.sub(T.gather_rows(scores, low_idx), T.gather_rows(scores, high_idx)),
             SALIENCY_MARGIN,
         )
-        violated = int(np.count_nonzero(gap.data > 0.0))
-        return T.scale(T.tsum(T.relu(gap)), 1.0 / max(violated, 1))
+        violated = np.count_nonzero(gap.data > 0.0, axis=-1)
+        return T.mul(T.tsum(T.relu(gap), axis=-1), Tensor(1.0 / np.maximum(violated, 1)))
 
     return T.add(hinge(h), hinge(h_bar))
 

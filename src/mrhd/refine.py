@@ -39,7 +39,7 @@ def positional_encoding(length: int, d: int) -> np.ndarray:
 
 
 def add_positions(v_hat: Tensor) -> Tensor:
-    length, d = v_hat.shape
+    length, d = v_hat.shape[-2:]
     return T.add(v_hat, Tensor(positional_encoding(length, d)))
 
 
@@ -61,14 +61,14 @@ def init_refine_params(params: dict, rng: np.random.Generator, d: int):
 
 
 def cross_similarity(v_hat: Tensor, t_hat: Tensor, params: dict) -> tuple[Tensor, Tensor]:
-    """Scaled product of linearly mapped clips and words, (L, N), in its
+    """Scaled product of linearly mapped clips and words, (..., L, N), in its
     row-softmax and column-softmax forms."""
-    d = v_hat.shape[1]
+    d = v_hat.shape[-1]
     scores = T.scale(
         T.matmul(linear(v_hat, params, "cross.v"), T.transpose(linear(t_hat, params, "cross.t"))),
         1.0 / math.sqrt(d),
     )
-    return T.softmax(scores, axis=1), T.softmax(scores, axis=0)
+    return T.softmax(scores, axis=-1), T.softmax(scores, axis=-2)
 
 
 def bidirectional_attend(
@@ -90,11 +90,11 @@ def fuse(v_hat: Tensor, t_hat: Tensor, f_v2q: Tensor, f_q2v: Tensor, params: dic
     Blocks: clips, attended words, clip (x) attended-word product, clip (x)
     routed-clip product, and the mean word vector replicated per clip.
     """
-    length = v_hat.shape[0]
-    text_global = T.broadcast_rows(T.tmean(t_hat, axis=0), length)
+    length = v_hat.shape[-2]
+    text_global = T.broadcast_rows(T.tmean(t_hat, axis=-2), length)
     stacked = T.concat(
         [v_hat, f_v2q, T.mul(v_hat, f_v2q), T.mul(v_hat, f_q2v), text_global],
-        axis=1,
+        axis=-1,
     )
     return linear(stacked, params, "fuse")
 

@@ -1,12 +1,13 @@
 """End-to-end assembly: config, forward pass, the Adam loop, checkpoints,
 prediction emission, and the alignment-weight sweep.
 
-The forward pass threads one sample through every stage in a fixed order:
-feature projection, local/global alignment terms, cross-modal refinement,
-joint fusion, highlight scoring, score-conditioned re-encoding, moment
-decoding, and the GRU hand-back that refines the highlight scores with the
-top retrieved span. Batches are processed sample by sample (no padding);
-only the batch-contrastive term consumes the whole batch at once.
+The forward pass threads a batch through every stage in a fixed order:
+feature projection, cross-modal refinement, joint fusion, highlight
+scoring, score-conditioned re-encoding, moment decoding, the GRU hand-back
+that refines the highlight scores with the top retrieved span, and the
+losses. Samples whose graphs have the same shapes go through as one stack
+(no padding), one graph per group; the batch-contrastive term and the
+means over samples consume the whole batch at once.
 """
 
 from __future__ import annotations
@@ -178,8 +179,11 @@ def init_model(
 
 @dataclass
 class SampleLosses:
-    """Per-sample loss pieces kept as graph nodes for batch assembly."""
+    """A group's loss pieces, graph nodes for ``batch_total``: one entry per
+    sample along axis 0, the samples sitting at positions ``rows`` of the
+    batch."""
 
+    rows: tuple[int, ...]
     mom: Tensor
     high: Tensor
     local: Tensor
@@ -201,56 +205,105 @@ def forward(
     mode: str = "train",
     saliency_seed: int | None = None,
 ) -> ForwardResult:
-    """One sample through the whole pipeline.
+    """One sample through the whole pipeline: ``forward_batch`` of a batch
+    of one. Train mode returns the sample's loss pieces alongside the
+    prediction, for ``batch_total`` to assemble; infer mode skips losses."""
+    predictions, parts = forward_batch([(sample, bundle)], params, config, mode, saliency_seed)
+    return ForwardResult(prediction=predictions[0], parts=parts[0] if parts else None)
 
-    Train mode returns the sample's loss pieces alongside the prediction,
-    for ``batch_total`` to assemble; infer mode skips losses entirely.
-    Reported highlight scores are always the moment-refined ones.
-    ``saliency_seed`` picks the ranking-pair subset; the training loop
-    varies it per step so the 16-pair cap still covers every valid pair
-    over time.
+
+def _group_key(sample: QuerySample, bundle: FeatureBundle, pairs) -> tuple:
+    """The shapes a sample's graph depends on: features, and in train mode
+    its ground-truth windows and saliency pairs."""
+    key = (bundle.visual.shape, bundle.text.shape, None if bundle.audio is None else bundle.audio.shape)
+    return key if pairs is None else key + (len(sample.relevant_windows), len(pairs))
+
+
+def _stack(values: list):
+    """One input per sample as a group's input: stacked on a new first
+    axis, or as it is for a group of one, which has no sample axis."""
+    if len(values) == 1:
+        return values[0]
+    if isinstance(values[0], FeatureBundle):
+        audio = None if values[0].audio is None else _stack([b.audio for b in values])
+        return FeatureBundle(_stack([b.visual for b in values]), _stack([b.text for b in values]), audio)
+    return np.stack(values)
+
+
+def forward_batch(
+    batch: list[tuple[QuerySample, FeatureBundle]],
+    params: dict[str, Tensor],
+    config: TrainConfig,
+    mode: str = "train",
+    saliency_seed: int | None = None,
+) -> tuple[list[cooperate.MomentPrediction], list[SampleLosses]]:
+    """A batch through the whole pipeline, each group of samples whose
+    graphs have the same shapes (``_group_key``) as one stack.
+
+    Returns every sample's prediction, in batch order, and in train mode
+    each group's ``SampleLosses``. Reported highlight scores are always the
+    moment-refined ones. ``saliency_seed`` picks the ranking-pair subsets;
+    the training loop varies it per step so the 16-pair cap still covers
+    every valid pair over time. The stacks give each sample the bits its
+    own graph would, and ``tensor.Batch`` folds the parameters' gradients
+    in batch order (rule 3 of ``tensor``).
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
-
-    v_hat, t_hat = align.project(bundle, params)
-    v_pos = refine.add_positions(v_hat)
-    a_row, a_col = refine.cross_similarity(v_pos, t_hat, params)
-    f_v2q, f_q2v = refine.bidirectional_attend(a_row, a_col, v_pos, t_hat)
-    f_v_bar = refine.fuse(v_pos, t_hat, f_v2q, f_q2v, params)
-    joint = refine.cross_attention_fusion(f_v_bar, t_hat, params)
-    h = cooperate.highlight_head(joint, params, config.heads)
-    z_hat = cooperate.hd2mr(joint, h, params, config.heads)
-    center_width, scores = cooperate.moment_decoder(
-        z_hat, params, config.heads, config.decoder_layers
-    )
-    if not (np.isfinite(center_width.data).all() and np.isfinite(scores.data).all()):
-        raise NonFiniteOutputError(f"qid {sample.qid}: the model's spans are not finite")
-    spans = cooperate.decode_spans(center_width, scores, sample.duration)
-    h_bar = cooperate.mr2hd(v_hat, joint, z_hat, spans[0][:2], sample.clip_len, params)
-    prediction = cooperate.MomentPrediction(spans=spans, highlight=h_bar.data.copy())
-    if mode == "infer":
-        return ForwardResult(prediction=prediction)
-
-    mom = losses.span_cost_and_loss(
-        center_width, scores, sample.relevant_windows, sample.duration, config.weights
-    )
     seed = config.seed if saliency_seed is None else saliency_seed
-    high = T.scale(
-        losses.saliency_loss(h, h_bar, sample, seed), config.weights.saliency
-    )
-    _, s_hat = align.local_similarity(v_hat, t_hat)
-    local = align.local_loss(s_hat, clip_labels(sample))
-    pooled_v, pooled_t = align.pooled_globals(v_hat, t_hat)
-    parts = SampleLosses(mom=mom, high=high, local=local, pooled_v=pooled_v, pooled_t=pooled_t)
-    return ForwardResult(prediction=prediction, parts=parts)
-
-
-def _mean_scalars(terms: list[Tensor]) -> Tensor:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = T.add(acc, t)
-    return T.scale(acc, 1.0 / len(terms))
+    pairs = [losses.saliency_pairs(s, seed) for s, _ in batch] if mode == "train" else None
+    groups: dict[tuple, list[int]] = {}
+    for pos, (sample, bundle) in enumerate(batch):
+        groups.setdefault(_group_key(sample, bundle, None if pairs is None else pairs[pos]), []).append(pos)
+    predictions: list = [None] * len(batch)
+    parts, not_finite = [], []
+    # The largest group first: walked last, it keeps the other groups'
+    # per-sample parameter gradients held the shortest (rule 3).
+    for rows in sorted(groups.values(), key=len, reverse=True):
+        samples = [batch[r][0] for r in rows]
+        with T.Batch(rows):
+            v_hat, t_hat = align.project(_stack([batch[r][1] for r in rows]), params)
+            v_pos = refine.add_positions(v_hat)
+            a_row, a_col = refine.cross_similarity(v_pos, t_hat, params)
+            f_v2q, f_q2v = refine.bidirectional_attend(a_row, a_col, v_pos, t_hat)
+            f_v_bar = refine.fuse(v_pos, t_hat, f_v2q, f_q2v, params)
+            joint = refine.cross_attention_fusion(f_v_bar, t_hat, params)
+            h = cooperate.highlight_head(joint, params, config.heads)
+            z_hat = cooperate.hd2mr(joint, h, params, config.heads)
+            center_width, scores = cooperate.moment_decoder(
+                z_hat, params, config.heads, config.decoder_layers
+            )
+            cw = center_width.data.reshape((len(rows),) + center_width.shape[-2:])
+            sc = scores.data.reshape(len(rows), -1)
+            finite = np.isfinite(cw).all(axis=(1, 2)) & np.isfinite(sc).all(axis=1)
+            if not finite.all():
+                not_finite.append(rows[int(finite.argmin())])
+                continue
+            spans = [
+                cooperate.decode_spans(Tensor(c), Tensor(s), sample.duration)
+                for c, s, sample in zip(cw, sc, samples)
+            ]
+            h_bar = cooperate.mr2hd(
+                v_hat, joint, z_hat, _stack([sp[0][:2] for sp in spans]),
+                _stack([s.clip_len for s in samples]), params,
+            )
+            for r, sp, hb in zip(rows, spans, h_bar.data.reshape(len(rows), -1)):
+                predictions[r] = cooperate.MomentPrediction(spans=sp, highlight=hb.copy())
+            if mode == "infer":
+                continue
+            gt_cw = [losses.windows_to_center_width(s.relevant_windows, s.duration) for s in samples]
+            mom = losses.span_cost_and_loss(center_width, scores, _stack(gt_cw), config.weights)
+            high = T.scale(
+                losses.saliency_loss(h, h_bar, _stack([pairs[r] for r in rows])), config.weights.saliency
+            )
+            _, s_hat = align.local_similarity(v_hat, t_hat)
+            local = align.local_loss(s_hat, _stack([clip_labels(s) for s in samples]))
+            pooled_v, pooled_t = align.pooled_globals(v_hat, t_hat)
+            parts.append(SampleLosses(tuple(rows), mom, high, local, pooled_v, pooled_t))
+    if not_finite:
+        qid = batch[min(not_finite)][0].qid
+        raise NonFiniteOutputError(f"qid {qid}: the model's spans are not finite")
+    return predictions, parts
 
 
 def batch_total(
@@ -258,14 +311,26 @@ def batch_total(
 ) -> tuple[Tensor, losses.LossBreakdown]:
     """Batch loss: per-sample means plus the batch-wide contrastive term.
 
-    The only place a total is assembled; a single sample's total is
+    The samples take their batch order from ``SampleLosses.rows``; parts
+    of separate one-sample forwards all sit at row 0 and keep the list's
+    order. The only place a total is assembled; a single sample's total is
     ``batch_total([parts], config)``.
     """
-    mom = _mean_scalars([p.mom for p in parts])
-    high = _mean_scalars([p.high for p in parts])
-    local = _mean_scalars([p.local for p in parts])
-    pooled_v = T.concat([p.pooled_v for p in parts], axis=0)
-    pooled_t = T.concat([p.pooled_t for p in parts], axis=0)
+    order = np.argsort([r for p in parts for r in p.rows], kind="stable")
+    table = T.concat(
+        [
+            T.concat([T.reshape(x, (len(p.rows), 1)) for x in (p.mom, p.high, p.local)], axis=1)
+            for p in parts
+        ],
+        axis=0,
+        order=order,
+    )
+    # Axis 0 of the (B, 3) table sums its rows one after another: each
+    # column adds the samples' terms in batch order.
+    means = T.scale(T.tsum(table, axis=0), 1.0 / len(order))
+    mom, high, local = (T.slice_range(means, k, k + 1, axis=0) for k in range(3))
+    pooled_v = T.concat([p.pooled_v for p in parts], axis=0, order=order)
+    pooled_t = T.concat([p.pooled_t for p in parts], axis=0, order=order)
     glob = align.global_loss(pooled_v, pooled_t)
     return losses.total_loss(mom, high, local, glob, config.lambda_lg)
 
@@ -281,8 +346,7 @@ def dataset_breakdown(
 ) -> losses.LossBreakdown:
     """Loss over the whole dataset treated as a single batch (no updates).
     Builds no graph: nothing calls backward on this loss."""
-    params = _without_grad(params)
-    parts = [forward(s, b, params, config, "train").parts for s, b in dataset.samples]
+    _, parts = forward_batch(dataset.samples, _without_grad(params), config, "train")
     _, breakdown = batch_total(parts, config)
     return breakdown
 
@@ -547,13 +611,10 @@ def train(config: TrainConfig, dataset: Dataset) -> Checkpoint:
         for start in range(0, n, config.batch_size):
             chosen = order[start : start + config.batch_size]
             zero_grad(params)
-            parts = [
-                forward(
-                    *dataset.samples[i], params, config, "train",
-                    saliency_seed=config.seed + step,
-                ).parts
-                for i in chosen
-            ]
+            _, parts = forward_batch(
+                [dataset.samples[i] for i in chosen], params, config, "train",
+                saliency_seed=config.seed + step,
+            )
             total, breakdown = batch_total(parts, config)
             if not math.isfinite(breakdown.total):
                 raise TrainingDivergedError(

@@ -112,6 +112,8 @@ def test_synth_rejects_widths_below_one(tmp_path, caplog, widths):
         ('{"clip_len": 1e308}', "clip_len"),
         ('{"clip_len": 1e-310, "min_moment": 0}', "clip_len"),
         ('{"noise": NaN}', "noise"),
+        ('{"noise": 1e39}', "noise"),
+        ('{"num_clips": 1' + "0" * 400 + "}", "num_clips"),
     ],
 )
 def test_synth_rejects_unusable_lengths_and_noise_before_writing(tmp_path, caplog, config, field):

@@ -159,7 +159,7 @@ def test_gru_zero_everything_gives_zero():
         for side in ("x", "h"):
             params[f"gru.{side}{g}.w"].data[...] = 0.0
             params[f"gru.{side}{g}.b"].data[...] = 0.0
-    out = C.gru_cell(Tensor(np.zeros((1, D))), Tensor(np.zeros((1, D))), params)
+    out = C.gru_cell(Tensor(np.zeros((1, D))), (0, 1), Tensor(np.zeros((1, D))), params)
     assert np.allclose(out.data, 0.0)
 
 
@@ -168,7 +168,7 @@ def test_gru_saturated_update_gate_keeps_hidden():
     params["gru.xu.b"].data[...] = -50.0
     params["gru.hu.b"].data[...] = 0.0
     hidden = Tensor(np.random.default_rng(0).standard_normal((1, D)))
-    out = C.gru_cell(Tensor(np.zeros((1, D))), hidden, params)
+    out = C.gru_cell(Tensor(np.zeros((1, D))), (0, 1), hidden, params)
     assert np.allclose(out.data, hidden.data, atol=1e-12)
 
 
@@ -177,7 +177,7 @@ def test_gru_step_matches_scalar_oracle():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((1, D))
     h = rng.standard_normal((1, D))
-    got = C.gru_cell(Tensor(x), Tensor(h), params).data
+    got = C.gru_cell(Tensor(x), (0, 1), Tensor(h), params).data
 
     def lin(v, name):
         return v @ params[f"{name}.w"].data + params[f"{name}.b"].data
@@ -196,7 +196,7 @@ def test_gru_chain_matches_scalar_oracle_loop():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((5, D))
     h0 = rng.standard_normal((1, D))
-    got = C.gru_cell(Tensor(x), Tensor(h0), params).data
+    got = C.gru_cell(Tensor(x), (0, 5), Tensor(h0), params).data
 
     def lin(v, name, j):
         w, b = params[f"gru.{name}.w"].data, params[f"gru.{name}.b"].data
@@ -237,9 +237,7 @@ def test_mr2hd_single_clip_span_is_one_gru_step():
     got = C.mr2hd(v_hat, joint, z_hat, (0.0, 2.0), 2.0, params)
     assert got.shape == (L,)
 
-    one_step = C.gru_cell(
-        T.slice_range(v_hat, 0, 1, axis=0), Tensor(np.zeros((1, D))), params
-    ).data
+    one_step = C.gru_cell(v_hat, (0, 1), Tensor(np.zeros((1, D))), params).data
     dots = v_hat.data @ one_step.T
     eps = 1e-8
     nv = np.sqrt((v_hat.data**2).sum(axis=1) + eps**2) + eps

@@ -3,10 +3,13 @@
 Each reference below is the chain of primitive kernels the model ran before
 the fused kernel took its place. The fused graph must give the same bits:
 the same outputs, and every gradient byte-equal, because the backward walk
-must add each tensor's contributions in the same order.
+must add each tensor's contributions in the same order. The references take
+leading sample axes as the kernels do; a bias or gain added to every row by
+broadcasting gets the sum over rows that ``broadcast_rows`` gave it.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,33 +23,31 @@ from mrhd.tensor import Tensor
 
 
 def ref_affine(x, w, b):
-    return T.add(T.matmul(x, w), T.broadcast_rows(b, x.shape[0]))
+    return T.add(T.matmul(x, w), b)
 
 
 def ref_layer_norm(x, gain, bias, eps=1e-5):
-    rows = x.shape[0]
-    mu = T.tmean(x, axis=1)
-    centered = T.sub(x, T.reshape(mu, (rows, 1)))
-    var = T.tmean(T.mul(centered, centered), axis=1)
-    std = T.reshape(T.sqrt(T.add_scalar(var, eps)), (rows, 1))
+    mu = T.tmean(x, axis=-1)
+    centered = T.sub(x, T.reshape(mu, mu.shape + (1,)))
+    var = T.tmean(T.mul(centered, centered), axis=-1)
+    std = T.reshape(T.sqrt(T.add_scalar(var, eps)), var.shape + (1,))
     normed = T.div(centered, std)
-    return T.add(T.mul(normed, T.broadcast_rows(gain, rows)), T.broadcast_rows(bias, rows))
+    return T.add(T.mul(normed, gain), bias)
 
 
 def ref_attention(q, k, v, heads):
-    dh = q.shape[1] // heads
+    dh = q.shape[-1] // heads
     outputs = []
     for h in range(heads):
         lo, hi = h * dh, (h + 1) * dh
-        qh, kh, vh = (T.slice_range(m, lo, hi, axis=1) for m in (q, k, v))
-        w = T.softmax(T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(dh)), axis=1)
+        qh, kh, vh = (T.slice_range(m, lo, hi, axis=-1) for m in (q, k, v))
+        w = T.softmax(T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(dh)), axis=-1)
         outputs.append(T.matmul(w, vh))
-    return T.concat(outputs, axis=1)
+    return T.concat(outputs, axis=-1)
 
 
 def ref_linear(x, params, prefix):
-    b = params[f"{prefix}.b"]
-    return T.add(T.matmul(x, params[f"{prefix}.w"]), T.broadcast_rows(b, x.shape[0]))
+    return ref_affine(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
 
 
 def ref_gru_step(x, hidden, params):
@@ -59,10 +60,13 @@ def ref_gru_step(x, hidden, params):
     return T.add(keep, T.mul(u, cand))
 
 
-def ref_gru_cell(x, hidden, params):
-    """One primitive step per row of ``x``, each on its own row slice."""
-    for t in range(x.shape[0]):
-        hidden = ref_gru_step(T.slice_range(x, t, t + 1, axis=0), hidden, params)
+def ref_gru_cell(x, spans, hidden, params):
+    """One primitive step per row of the span, each on its own row slice
+    (every sample's span the same)."""
+    ((start, stop),) = set(map(tuple, np.reshape(spans, (-1, 2)).tolist()))
+    rows = T.slice_range(x, start, stop, axis=-2)
+    for t in range(stop - start):
+        hidden = ref_gru_step(T.slice_range(rows, t, t + 1, axis=-2), hidden, params)
     return hidden
 
 
@@ -118,7 +122,7 @@ def test_gru_chain_matches_primitive_steps_on_row_blocks(rows, start):
     def build(cell):
         def run(leaves):
             h0 = leaves.get("h0", Tensor(np.zeros((1, d))))
-            hidden = cell(leaves["clips"], h0, leaves)
+            hidden = cell(leaves["clips"], (0, rows), h0, leaves)
             scores = T.reshape(T.matmul(leaves["clips"], T.transpose(hidden)), (rows,))
             return T.concat([scores, T.tsum(T.mul(hidden, h0), axis=1)], axis=0)
 
@@ -142,7 +146,7 @@ def test_gru_chain_matches_primitive_steps(lengths):
             outputs = []
             for s, n in enumerate(lengths):
                 clips = leaves[f"clips{s}"]
-                hidden = cell(clips, Tensor(np.zeros((1, d))), leaves)
+                hidden = cell(clips, (0, n), Tensor(np.zeros((1, d))), leaves)
                 scores = T.reshape(T.matmul(clips, T.transpose(hidden)), (n,))
                 outputs += [scores, T.tsum(T.mul(hidden, hidden), axis=1)]
             return T.concat(outputs, axis=0)
@@ -301,5 +305,166 @@ def test_fused_kernels_record_one_node_each(monkeypatch):
     assert len(recorded) == 1
     recorded.clear()
     params = {name: Tensor(a) for name, a in _gru_params(rng, 4).items()}
-    C.gru_cell(Tensor(rng.standard_normal((5, 4)), requires_grad=True), Tensor(np.zeros((1, 4))), params)
+    C.gru_cell(Tensor(rng.standard_normal((5, 4)), requires_grad=True), (0, 5), Tensor(np.zeros((1, 4))), params)
     assert len(recorded) == 1  # the whole 5-row chain
+
+
+# ---------------------------------------------------------------------------
+# stacked samples against separate one-sample graphs
+
+
+def _stacked_and_slices(op, stacked: dict, shared: dict, seed: int = 0):
+    """``op(inputs, params, sample)`` once on the (b, ...) stacks inside a
+    batch (``sample`` None) and once per sample on its slices, each its own
+    graph. Returns, for each run, the output and every leaf's grad as
+    bytes, the per-sample ones stacked back in sample order."""
+    b = len(next(iter(stacked.values())))
+
+    def proj(shape):
+        return np.random.default_rng(seed).standard_normal(shape)
+
+    leaves, params = _leaves(stacked), _leaves(shared)
+    with T.Batch(range(b)):
+        out = op(leaves, params, None)
+    T.tsum(T.mul(out, Tensor(proj(out.shape)))).backward()
+    together = out.data.tobytes(), {n: t.grad.tobytes() for n, t in {**leaves, **params}.items()}
+
+    per_sample = [_leaves({n: a[i] for n, a in stacked.items()}) for i in range(b)]
+    params = _leaves(shared)
+    outs = [op(leaves, params, i) for i, leaves in enumerate(per_sample)]
+    weights = proj((b,) + outs[0].shape)
+    total = T.tsum(T.mul(outs[0], Tensor(weights[0])))
+    for o, w in zip(outs[1:], weights[1:]):
+        total = T.add(total, T.tsum(T.mul(o, Tensor(w))))
+    total.backward()
+    grads = {n: np.stack([s[n].grad for s in per_sample]).tobytes() for n in stacked}
+    grads.update({n: t.grad.tobytes() for n, t in params.items()})
+    return together, (np.stack([o.data for o in outs]).tobytes(), grads)
+
+
+def _assert_stack_matches(op, stacked, shared):
+    together, apart = _stacked_and_slices(op, stacked, shared)
+    _assert_same(together, apart)
+
+
+@pytest.mark.parametrize("rows", [1, 6, 75])
+def test_stacked_affine_matches_slices(rows):
+    rng = np.random.default_rng(rows)
+    _assert_stack_matches(
+        lambda x, p, _: T.affine(x["x"], p["w"], p["b"]),
+        {"x": rng.standard_normal((6, rows, 16))},
+        {"w": rng.standard_normal((16, 40)), "b": rng.standard_normal(40)},
+    )
+
+
+def test_stacked_layer_norm_matches_slices():
+    rng = np.random.default_rng(1)
+    _assert_stack_matches(
+        lambda x, p, _: T.layer_norm(T.tanh(x["x"]), p["gain"], p["bias"]),
+        {"x": rng.standard_normal((5, 9, 8))},
+        {"gain": rng.standard_normal(8), "bias": rng.standard_normal(8)},
+    )
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_stacked_attention_matches_slices(heads):
+    rng = np.random.default_rng(heads)
+    _assert_stack_matches(
+        lambda x, p, _: T.attention(x["q"], x["k"], x["v"], heads),
+        {"q": rng.standard_normal((4, 5, 8)), "k": rng.standard_normal((4, 7, 8)),
+         "v": rng.standard_normal((4, 7, 8))},
+        {},
+    )
+
+
+@pytest.mark.parametrize("start", ["zero", "trained"])
+def test_stacked_gru_with_per_sample_spans_matches_slices(start):
+    """Chains of 6, 1, 3 and 6 steps over different rows, run in lockstep."""
+    d = 4
+    rng = np.random.default_rng(9)
+    spans = np.array([(0, 6), (4, 5), (2, 5), (1, 7)])
+    stacked = {"clips": rng.standard_normal((4, 8, d))}
+    stacked["clips"][1, 4, :2] = (-0.0, 0.0)
+    if start == "trained":
+        stacked["h0"] = rng.standard_normal((4, 1, d))
+
+    def op(x, p, sample):
+        span = spans if sample is None else spans[sample]
+        h0 = x.get("h0", Tensor(np.zeros(span.shape[:-1] + (1, d))))
+        return C.gru_cell(x["clips"], span, h0, p)
+
+    _assert_stack_matches(op, stacked, _gru_params(rng, d))
+
+
+@pytest.mark.parametrize("axis", [-1, -2])
+def test_stacked_softmax_and_reductions_match_slices(axis):
+    rng = np.random.default_rng(2)
+    for kernel in (
+        lambda x: T.softmax(x, axis),
+        lambda x: T.tsum(x, axis),
+        lambda x: T.tmean(x, axis),
+        lambda x: T.broadcast_rows(T.tmean(x, axis), 3),
+    ):
+        _assert_stack_matches(
+            lambda x, p, _, kernel=kernel: kernel(T.mul(x["x"], p["scale"])),
+            {"x": rng.standard_normal((5, 7, 9))},
+            {"scale": rng.standard_normal(9)},
+        )
+
+
+def _mixed_batch():
+    """Clip counts (5, 7, 5, 9, 7): a repeated shape, a group of one, and
+    groups that interleave in batch order. The seeds give both samples of a
+    clip count as many saliency pairs, so that they share a graph."""
+    synth = {
+        clips: synth_generate(SynthConfig(num_samples=2, num_clips=clips, d_v=10, d_t=6), 3 + clips).samples
+        for clips in (5, 7, 9)
+    }
+    picks = [(5, 0), (7, 0), (5, 1), (9, 0), (7, 1)]
+    return [
+        (replace(synth[clips][k][0], qid=pos), synth[clips][k][1])
+        for pos, (clips, k) in enumerate(picks)
+    ]
+
+
+_MIXED_CONFIG = trainer.TrainConfig(seed=0, d=8, num_queries=3, decoder_layers=2, heads=2)
+
+
+def _mixed_step(build_parts):
+    params = trainer.init_model(np.random.default_rng(0), 10, 6, _MIXED_CONFIG)
+    parts = build_parts(params)
+    total, breakdown = trainer.batch_total(parts, _MIXED_CONFIG)
+    total.backward()
+    return parts, breakdown, {name: p.grad.tobytes() for name, p in params.items()}
+
+
+def test_batched_step_matches_one_sample_graphs():
+    """Groups of stacked samples against one graph per sample: the loss
+    breakdown and every parameter gradient, byte for byte. Each shared
+    block parameter and ``decoder.queries`` get two contributions per
+    sample, which must be added one by one in sample order; adding a
+    sample's two together first changes the bits."""
+    batch = _mixed_batch()
+    seed = 3
+    parts, *batched = _mixed_step(
+        lambda params: trainer.forward_batch(batch, params, _MIXED_CONFIG, "train", seed)[1]
+    )
+    assert sorted(p.rows for p in parts) == [(0, 2), (1, 4), (3,)]
+    _, *single = _mixed_step(
+        lambda params: [
+            trainer.forward(s, b, params, _MIXED_CONFIG, "train", seed).parts for s, b in batch
+        ]
+    )
+    assert batched[0] == single[0]
+    differ = sorted(name for name in batched[1] if batched[1][name] != single[1][name])
+    assert batched[1].keys() == single[1].keys() and not differ, differ
+
+
+def test_batched_predictions_match_one_sample_forwards():
+    batch = _mixed_batch()
+    params = trainer.init_model(np.random.default_rng(1), 10, 6, _MIXED_CONFIG)
+    predictions, parts = trainer.forward_batch(batch, params, _MIXED_CONFIG, "infer")
+    assert parts == []
+    for (sample, bundle), got in zip(batch, predictions):
+        want = trainer.forward(sample, bundle, params, _MIXED_CONFIG, "infer").prediction
+        assert got.spans == want.spans and got.highlight.tobytes() == want.highlight.tobytes()

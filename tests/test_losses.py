@@ -156,7 +156,7 @@ def test_span_loss_perfect_prediction_has_zero_span_terms():
     duration = 40.0
     out = _decoder_out([[0.5, 0.5], [0.2, 0.1]], [0.999999, 0.2])
     weights = LS.LossWeights(l1=10.0, giou=1.0, cls=0.0)
-    mom = LS.span_cost_and_loss(*out, gt, duration, weights)
+    mom = LS.span_cost_and_loss(*out, LS.windows_to_center_width(gt, duration), weights)
     assert LS.hungarian_match(_cost(out, gt, duration, weights)) == [(0, 0)]
     assert mom.item() < 1e-9
 
@@ -173,13 +173,13 @@ def test_span_cost_prefers_confident_overlapping_pred():
 def test_span_loss_degenerate_gt_rejected():
     out = _decoder_out([[0.5, 0.5]], [0.5])
     with pytest.raises(ContractError):
-        LS.span_cost_and_loss(*out, [(20.0, 20.0)], 40.0, LS.LossWeights())
+        LS.span_cost_and_loss(*out, LS.windows_to_center_width([(20.0, 20.0)], 40.0), LS.LossWeights())
 
 
 def test_span_loss_unmatched_preds_pushed_to_background():
     gt = [(10.0, 30.0)]
     out = _decoder_out([[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5])
-    mom = LS.span_cost_and_loss(*out, gt, 40.0, LS.LossWeights())
+    mom = LS.span_cost_and_loss(*out, LS.windows_to_center_width(gt, 40.0), LS.LossWeights())
     mom.backward()
     grads = out[1].grad
     matched = LS.hungarian_match(_cost(out, gt, 40.0, LS.LossWeights()))[0][0]
@@ -241,7 +241,7 @@ def test_span_loss_gradients_match_finite_differences():
     weights = LS.LossWeights()
 
     def build(ts):
-        return LS.span_cost_and_loss(ts[0], ts[1], gt, duration, weights)
+        return LS.span_cost_and_loss(ts[0], ts[1], LS.windows_to_center_width(gt, duration), weights)
 
     assert check_gradients(build, [cw, sc]) < 1e-4
 
@@ -267,21 +267,21 @@ def test_saliency_hand_case():
     sample = _sample_with_ratings([[4], [0]])
     h = Tensor(np.array([0.0, 0.1]))
     h_bar = Tensor(np.array([0.0, 0.1]))
-    loss = LS.saliency_loss(h, h_bar, sample, seed=0)
+    loss = LS.saliency_loss(h, h_bar, LS.saliency_pairs(sample, 0))
     assert abs(loss.item() - 0.6) < 1e-12  # 0.3 per head
 
 
 def test_saliency_identical_scores_cost_margin():
     sample = _sample_with_ratings([[4], [0], [0]])
     h = Tensor(np.zeros(3))
-    loss = LS.saliency_loss(h, Tensor(np.zeros(3)), sample, seed=0)
+    loss = LS.saliency_loss(h, Tensor(np.zeros(3)), LS.saliency_pairs(sample, 0))
     assert abs(loss.item() - 0.4) < 1e-12  # 0.2 margin per head
 
 
 def test_saliency_satisfied_margin_is_zero():
     sample = _sample_with_ratings([[4], [0]])
     h = Tensor(np.array([1.0, 0.0]))
-    loss = LS.saliency_loss(h, Tensor(np.array([2.0, 0.0])), sample, seed=0)
+    loss = LS.saliency_loss(h, Tensor(np.array([2.0, 0.0])), LS.saliency_pairs(sample, 0))
     assert loss.item() == 0.0
 
 
@@ -289,13 +289,13 @@ def test_saliency_averages_over_violated_pairs_only():
     sample = _sample_with_ratings([[4], [0], [0]])
     # pair (0, 1) is inside the margin by 1.2, pair (0, 2) clears it
     h = Tensor(np.array([0.0, 1.0, -1.0]))
-    loss = LS.saliency_loss(h, Tensor(np.array([0.0, 1.0, -1.0])), sample, seed=0)
+    loss = LS.saliency_loss(h, Tensor(np.array([0.0, 1.0, -1.0])), LS.saliency_pairs(sample, 0))
     assert abs(loss.item() - 2.4) < 1e-12  # 1.2 per head, not diluted to 0.6
 
 
 def test_saliency_no_pairs_is_zero():
     sample = _sample_with_ratings([[2], [2]])
-    loss = LS.saliency_loss(Tensor(np.zeros(2)), Tensor(np.zeros(2)), sample, seed=0)
+    loss = LS.saliency_loss(Tensor(np.zeros(2)), Tensor(np.zeros(2)), LS.saliency_pairs(sample, 0))
     assert loss.item() == 0.0
 
 
@@ -367,7 +367,7 @@ def test_saliency_nonnegative_property():
         sample = _sample_with_ratings(ratings)
         h = Tensor(rng.standard_normal(6))
         hb = Tensor(rng.standard_normal(6))
-        assert LS.saliency_loss(h, hb, sample, seed=trial).item() >= 0.0
+        assert LS.saliency_loss(h, hb, LS.saliency_pairs(sample, trial)).item() >= 0.0
 
 
 def test_saliency_gradient():
@@ -375,7 +375,7 @@ def test_saliency_gradient():
     rng = np.random.default_rng(8)
 
     def build(ts):
-        return LS.saliency_loss(ts[0], ts[1], sample, seed=1)
+        return LS.saliency_loss(ts[0], ts[1], LS.saliency_pairs(sample, 1))
 
     arrays = [rng.standard_normal(4), rng.standard_normal(4)]
     assert check_gradients(build, arrays) < 1e-4

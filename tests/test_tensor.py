@@ -57,7 +57,7 @@ def test_item_requires_single_element():
         lambda: T.slice_range(Tensor(np.ones((4, 2))), 3, 3, axis=0),
         lambda: T.slice_range(Tensor(np.ones((4, 2))), 0, 5, axis=1),
         lambda: T.gather_rows(Tensor(np.ones((4, 2))), [0, 4]),
-        lambda: T.broadcast_rows(Tensor(np.ones((2, 2))), 3),
+        lambda: T.broadcast_rows(Tensor(np.ones((2, 2))), -1),
         lambda: T.softmax(Tensor(np.ones((2, 2))), axis=2),
         lambda: T.reshape(Tensor(np.ones((2, 3))), (4, 2)),
         lambda: T.concat([], axis=0),
@@ -186,12 +186,15 @@ def test_layer_norm_affine_params_receive_grads():
 
 def _zeros_then_add(t, g):
     """Gradient accumulation as a zero buffer plus every contribution: the
-    reference the copy-on-first-contribution engine must equal."""
+    reference the copy-on-first-contribution engine must equal. A one-sample
+    graph hands a shared leaf (a parameter, or its per-sample copy) a stack
+    of one contribution."""
     if not t.requires_grad:
         return
+    t = T._source(t)
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+    t.grad += g.reshape(t.shape)
 
 
 def _tiny_batch_backward():

@@ -15,12 +15,15 @@ kernel suite over seeds N to N+2 plus the end-to-end probe at N), so the
 same command also shows whether every kernel gradient kept its bits.
 
 BLAS and OpenMP run single-threaded, as in the benchmark, so that a table
-does not depend on the thread count.
+does not depend on the thread count. The first line names the OpenBLAS
+kernel family the run used: equal tables mean equal bits only on the same
+kernel (a DYNAMIC_ARCH build picks it per CPU, or by ``OPENBLAS_CORETYPE``).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -51,6 +54,19 @@ def _arrays_digest(arrays: dict[str, np.ndarray]) -> str:
     return _digest(name.encode() + np.ascontiguousarray(arrays[name]).tobytes() for name in sorted(arrays))
 
 
+def blas_core() -> str:
+    """The kernel family numpy's bundled OpenBLAS runs, or ``unknown``."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def row(w: workloads.Workload, seed: int) -> dict[str, str]:
     """The hashes of one workload shape at ``seed``."""
     config = w.train_config()
@@ -79,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS))
     args = parser.parse_args(argv)
-    print(f"seed {args.seed}")
+    print(f"seed {args.seed}, BLAS core {blas_core()}")
     print("| workload | " + " | ".join(COLUMNS) + " |")
     print("| --- " * (len(COLUMNS) + 1) + "|")
     for name in args.workload or workloads.WORKLOADS:
