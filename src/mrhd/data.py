@@ -488,10 +488,11 @@ def synth_generate(config: SynthConfig, seed: int) -> Dataset:
             relevant_windows=(window,),
             saliency=tuple(ratings),
         )
-        bundle = FeatureBundle(
-            visual=visual.astype(np.float32).astype(np.float64),
-            text=text.astype(np.float32).astype(np.float64),
-            audio=audio.astype(np.float32).astype(np.float64) if audio is not None else None,
-        )
+        with np.errstate(over="ignore"):  # beyond float32's range becomes inf, refused by write_dataset
+            bundle = FeatureBundle(
+                visual=visual.astype(np.float32).astype(np.float64),
+                text=text.astype(np.float32).astype(np.float64),
+                audio=audio.astype(np.float32).astype(np.float64) if audio is not None else None,
+            )
         ds.samples.append((sample, bundle))
     return ds

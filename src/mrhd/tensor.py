@@ -23,10 +23,10 @@ byte-equal to the per-sample ones (each sample's matmul is its own BLAS
 call of the same shape, and each reduction runs along the same axis with
 the same length). Nodes recorded inside ``with Batch(rows):`` take axis 0
 as the sample axis, sample i being position ``rows[i]`` of the training
-batch; a batch of one row has no sample axis. A leaf that the samples
-share, a parameter or the ``per_sample`` copies of one, then gets one
-gradient contribution per sample (rule 3); outside a batch, leading axes
-that a leaf lacks are summed as numpy's broadcasting sums them.
+batch, a batch of one included. A leaf that the samples share, a
+parameter or the ``per_sample`` copies of one, then gets one gradient
+contribution per sample (rule 3); outside a batch, leading axes that a
+leaf lacks are summed as numpy's broadcasting sums them.
 
 ``backward`` runs the closures in reverse creation order. A node is
 created after its parents, so each gradient is complete before its closure
@@ -52,10 +52,10 @@ closure runs where theirs did, and three rules are left:
    order, as the steps' ``+=`` chain did.
 2. Operands keep the layouts and shapes the primitive kernels gave them
    (head slices copied to C order, the transposed key copied as
-   ``transpose`` did, each GRU step's (1, d) @ (d, d) product made on its
-   own or over a stack of (1, d) rows, which numpy runs as one BLAS call
-   per row; one (T, d) @ (d, d) product differs from the row products in
-   the last bits), since a BLAS call on another layout or shape may sum in
+   ``transpose`` did, each GRU step's (1, d) @ (d, d) product made over a
+   stack of (1, d) rows, which numpy runs as one BLAS call per row; one
+   (T, d) @ (d, d) product differs from the row products in the last
+   bits), since a BLAS call on another layout or shape may sum in
    another order; and signed zeros come out as the primitive scatter left
    them.
 3. Sample-major fold. Graphs built one sample after another and walked
@@ -67,13 +67,15 @@ closure runs where theirs did, and three rules are left:
    ``_accumulate`` adds (a GRU chain as rule 1 adds it). A held
    contribution is added as soon as no consumer left in the walk can
    produce one that goes before it, so a parameter with one consumer per
-   sample folds as soon as its stack arrives.
+   sample folds as soon as its stack arrives, and all are added once the
+   leaf's last batched consumer has run.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from operator import attrgetter
 
 import numpy as np
@@ -174,7 +176,7 @@ _batch_rows: tuple[int, ...] | None = None  # the rows of the innermost ``Batch`
 class Batch:
     """``with Batch(rows):`` the nodes recorded inside take axis 0 of their
     tensors as the sample axis, sample i being position ``rows[i]`` of the
-    training batch (one row: no sample axis); rule 3 of the module
+    training batch, a batch of one included; rule 3 of the module
     docstring orders the per-sample gradients of the leaves they share by
     these positions."""
 
@@ -202,53 +204,46 @@ def _source(t: Tensor) -> Tensor:
 
 
 class _Walk:
-    """A running ``backward``: the rows of the node whose closure runs, and
-    the per-sample contributions to shared leaves that rule 3 still holds.
-
-    For each shared leaf, ``later`` lists the running maximum of the top row
-    of its batched consumers, the consumer walked first last, so that after
-    popping the one that ran, the last entry bounds every row still to come.
-    """
+    """A running ``backward``: the rows of the node whose closure runs, the
+    per-sample contributions to shared leaves that rule 3 still holds, and
+    for each shared leaf the top rows of its batched consumers yet to run."""
 
     def __init__(self, nodes):
         self.rows: tuple[int, ...] | None = None
         self.held: dict[Tensor, list] = {}
-        self.later: dict[Tensor, list[int]] = {}
-        self._arrivals = itertools.count()
-        for node in reversed(nodes):
-            if node._rows is None:
-                continue
-            top = max(node._rows)
-            for p in node._parents:
-                if _is_shared(p):
-                    later = self.later.setdefault(_source(p), [])
-                    later.append(max(top, later[-1]) if later else top)
+        self.tops: dict[Tensor, Counter[int]] = {}
+        for node in nodes:
+            if node._rows is not None:
+                for p in node._parents:
+                    if _is_shared(p):
+                        self.tops.setdefault(_source(p), Counter())[max(node._rows)] += 1
 
     def hold(self, leaf: Tensor, items) -> None:
         """Keep one ``_add_in_order`` item per sample of the running node."""
         if len(items) != len(self.rows):
             raise ContractError(f"{len(items)} per-sample gradients for a batch of {len(self.rows)}")
-        held = self.held.setdefault(leaf, [])
-        for row, item in zip(self.rows, items):
-            held.append((-row, next(self._arrivals), item))
+        self.held.setdefault(leaf, []).extend(zip(self.rows, items))
 
     def ran(self, node: Tensor) -> None:
-        """Add what no consumer left can precede into the leaves ``node`` read."""
+        """Fold into each leaf ``node`` read the held contributions that no
+        consumer yet to run can precede, those at rows no lower than any
+        such consumer's top row (all once none is left): rows from the last
+        to the first, and at one row in walk order (the sort is stable)."""
+        top = max(node._rows)
         for p in node._parents:
             if not _is_shared(p):
                 continue
             leaf = _source(p)
-            later = self.later[leaf]
-            later.pop()
+            tops = self.tops[leaf]
+            tops[top] -= 1
+            if not tops[top]:
+                del tops[top]
             held = self.held.get(leaf)
             if held:
-                bound = later[-1] if later else -1
-                held.sort(key=lambda e: e[:2])
-                ready = 0
-                while ready < len(held) and -held[ready][0] >= bound:
-                    ready += 1
-                _add_in_order(leaf, [item for _, _, item in held[:ready]])
-                del held[:ready]
+                bound = max(tops, default=-1)
+                held.sort(key=lambda e: -e[0])
+                _add_in_order(leaf, [item for row, item in held if row >= bound])
+                held[:] = [e for e in held if e[0] < bound]
 
 
 _walk = _Walk(())
@@ -300,16 +295,12 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     source = _source(t)
-    rows = _walk.rows
-    if rows is not None and t._backward is None:
-        if len(rows) == 1 and g.ndim == source.ndim:
-            g = g[None]  # a batch of one has no sample axis
-        if g.ndim > source.ndim:
-            # a shared leaf inside a batch: one contribution per sample (rule 3)
-            if g.shape[1:] != source.shape:
-                raise ContractError(f"per-sample gradients of shape {g.shape} for a leaf of shape {source.shape}")
-            _walk.hold(source, g)
-            return
+    if _walk.rows is not None and t._backward is None and g.ndim > source.ndim:
+        # a shared leaf inside a batch: one contribution per sample (rule 3)
+        if g.shape[1:] != source.shape:
+            raise ContractError(f"per-sample gradients of shape {g.shape} for a leaf of shape {source.shape}")
+        _walk.hold(source, g)
+        return
     lead = g.ndim - source.ndim
     if lead:
         if _walk.rows is not None:
@@ -378,7 +369,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if g.shape == shape:
         return g
     lead = g.ndim - len(shape)
-    keep = 1 if lead and _walk.rows is not None and len(_walk.rows) > 1 else 0
+    keep = 1 if lead and _walk.rows is not None else 0
     if lead > keep:
         g = g.sum(axis=tuple(range(keep, lead)))
     stretched = tuple(keep + i for i, n in enumerate(shape) if n == 1 and g.shape[keep + i] != 1)
@@ -640,16 +631,13 @@ def gather_rows(x: Tensor, indices) -> Tensor:
         raise ContractError(f"gather_rows expects (..., K) indices into (..., n, ...), got {idx.shape} for {x.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[len(batch)]):
         raise ContractError(f"gather indices out of range for shape {x.shape}")
-    if batch:
-        samples = math.prod(batch)
-        where = (np.arange(samples)[:, None], idx.reshape(samples, -1))
-        flat = x.data.reshape((samples,) + x.shape[len(batch) :])
-    else:
-        where, flat = idx, x.data
+    samples = math.prod(batch)
+    where = (np.arange(samples)[:, None], idx.reshape(samples, -1))
+    flat = x.data.reshape((samples,) + x.shape[len(batch) :])
 
     def backward(g):
         z = np.zeros_like(flat)
-        np.add.at(z, where, g.reshape(z.shape[:1] + idx.shape[-1:] + z.shape[2:]) if batch else g)
+        np.add.at(z, where, g.reshape(z.shape[:1] + idx.shape[-1:] + z.shape[2:]))
         _accumulate(x, z.reshape(x.shape))
 
     return _record(flat[where].reshape(idx.shape + x.shape[len(batch) + 1 :]), (x,), backward)
@@ -772,14 +760,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return _record(out, (q, k, v), backward)
 
 
-def _first_chains(m: int, *arrays: np.ndarray) -> list[np.ndarray]:
-    """Views of the first ``m`` chains of (step, chain, ...) arrays, indexed
-    by step. A lone chain drops its axis, so that its steps run on the
-    shapes of one primitive step."""
-    pick = 0 if m == 1 else slice(m)
-    return [a[:, pick] for a in arrays]
-
-
 def gru(x: Tensor, spans, h: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
     """A gated-recurrent chain over a range of rows of each sample of ``x``,
     from the (1, d) state ``h``; returns each chain's last state, one node
@@ -795,8 +775,8 @@ def gru(x: Tensor, spans, h: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
     h <- (1-u)*h + u*c.
 
     Each chain gives the bits of one primitive step per row slice (rules 1
-    and 2 of the module docstring): every (1, d) row product is made alone
-    or in a stack of (1, d) rows, in the forward and in the ``x`` and ``h``
+    and 2 of the module docstring): every (1, d) row product is made in a
+    stack of (1, d) rows, in the forward and in the ``x`` and ``h``
     gradients, and each weight and bias gets one chain per sample, its
     steps' contributions in reverse step order (rule 3 orders the chains).
     The chains run in lockstep, the longest first, so that the chains still
@@ -836,16 +816,17 @@ def gru(x: Tensor, spans, h: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
     x_ur = np.stack([rows @ wxu.data + bxu.data, rows @ wxr.data + bxr.data], axis=2)
     x_c = rows @ wxc.data + bxc.data
     w_ur = np.stack([whu.data, whr.data])
-    b_ur = np.stack([bhu.data, bhr.data])[:, None, :]
+    # (1, 2, 1, d), the shape of one chain's gates: a lone chain adds it unbroadcast
+    b_ur = np.stack([bhu.data, bhr.data])[None, :, None, :]
     hs = np.zeros((longest + 1, n, 1, d))  # hs[t, k] is chain k's state before its row t
-    hs[0] = h.data.reshape(n, 1, d)[order] if n > 1 else h.data
+    hs[0] = h.data.reshape(n, 1, d)[order]
     ur = np.zeros((longest, n, 2, 1, d))  # the update and reset gates
     cand, rh = np.zeros((longest, n, 1, d)), np.zeros((longest, n, 1, d))
     w_c, b_c = whc.data, bhc.data
     for m, run in itertools.groupby(range(longest), running.__getitem__):
-        h_m, ur_m, rh_m, c_m, xur_m, xc_m = _first_chains(m, hs, ur, rh, cand, x_ur, x_c)
+        h_m, ur_m, rh_m, c_m, xur_m, xc_m = (a[:, :m] for a in (hs, ur, rh, cand, x_ur, x_c))
         u_m, r_m = ur_m[..., 0, :, :], ur_m[..., 1, :, :]
-        hq_m = h_m if m == 1 else h_m[:, :, None]  # each state a stack of one row against both gates
+        hq_m = h_m[:, :, None]  # each state a stack of one row against both gates
         for t in run:
             ht, hq_t, u_t, rh_t, c_t = h_m[t], hq_m[t], u_m[t], rh_m[t], c_m[t]
             np.divide(1.0, 1.0 + np.exp(-(xur_m[t] + (hq_t @ w_ur + b_ur))), out=ur_m[t])
@@ -869,9 +850,9 @@ def gru(x: Tensor, spans, h: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
         for m, run in itertools.groupby(range(longest - 1, -1, -1), running.__getitem__):
             g_run[joined:m] = g_out[joined:m]  # chains whose last step is this run's first start here
             joined = m
-            gt = g_run[0] if m == 1 else g_run[:m]
-            h_m, u_m, r_m, keep_m, c_m, dc_m, dr_m, gp_m = _first_chains(
-                m, hs, u, r, keep, cand, d_cand, d_r, g_pre
+            gt = g_run[:m]
+            h_m, u_m, r_m, keep_m, c_m, dc_m, dr_m, gp_m = (
+                a[:, :m] for a in (hs, u, r, keep, cand, d_cand, d_r, g_pre)
             )
             for t in run:
                 ht, u_t, r_t, keep_t, g_t = h_m[t], u_m[t], r_m[t], keep_m[t], gp_m[t]

@@ -221,13 +221,11 @@ def _group_key(sample: QuerySample, bundle: FeatureBundle, pairs) -> tuple:
 
 def _stack(values: list):
     """One input per sample as a group's input: stacked on a new first
-    axis, or as it is for a group of one, which has no sample axis."""
-    if len(values) == 1:
-        return values[0]
+    axis, the sample axis, a group of one included."""
     if isinstance(values[0], FeatureBundle):
         audio = None if values[0].audio is None else _stack([b.audio for b in values])
         return FeatureBundle(_stack([b.visual for b in values]), _stack([b.text for b in values]), audio)
-    return np.stack(values)
+    return np.array(values)  # stacks as np.stack does, at less cost per call
 
 
 def forward_batch(
@@ -273,8 +271,7 @@ def forward_batch(
             center_width, scores = cooperate.moment_decoder(
                 z_hat, params, config.heads, config.decoder_layers
             )
-            cw = center_width.data.reshape((len(rows),) + center_width.shape[-2:])
-            sc = scores.data.reshape(len(rows), -1)
+            cw, sc = center_width.data, scores.data
             finite = np.isfinite(cw).all(axis=(1, 2)) & np.isfinite(sc).all(axis=1)
             if not finite.all():
                 not_finite.append(rows[int(finite.argmin())])
@@ -287,7 +284,7 @@ def forward_batch(
                 v_hat, joint, z_hat, _stack([sp[0][:2] for sp in spans]),
                 _stack([s.clip_len for s in samples]), params,
             )
-            for r, sp, hb in zip(rows, spans, h_bar.data.reshape(len(rows), -1)):
+            for r, sp, hb in zip(rows, spans, h_bar.data):
                 predictions[r] = cooperate.MomentPrediction(spans=sp, highlight=hb.copy())
             if mode == "infer":
                 continue

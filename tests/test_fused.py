@@ -349,12 +349,14 @@ def _assert_stack_matches(op, stacked, shared):
 
 @pytest.mark.parametrize("rows", [1, 6, 75])
 def test_stacked_affine_matches_slices(rows):
+    """Six samples, and a stack of one (each ``predict`` query's shape)."""
     rng = np.random.default_rng(rows)
-    _assert_stack_matches(
-        lambda x, p, _: T.affine(x["x"], p["w"], p["b"]),
-        {"x": rng.standard_normal((6, rows, 16))},
-        {"w": rng.standard_normal((16, 40)), "b": rng.standard_normal(40)},
-    )
+    for samples in (6, 1):
+        _assert_stack_matches(
+            lambda x, p, _: T.affine(x["x"], p["w"], p["b"]),
+            {"x": rng.standard_normal((samples, rows, 16))},
+            {"w": rng.standard_normal((16, 40)), "b": rng.standard_normal(40)},
+        )
 
 
 def test_stacked_layer_norm_matches_slices():
@@ -379,21 +381,27 @@ def test_stacked_attention_matches_slices(heads):
 
 @pytest.mark.parametrize("start", ["zero", "trained"])
 def test_stacked_gru_with_per_sample_spans_matches_slices(start):
-    """Chains of 6, 1, 3 and 6 steps over different rows, run in lockstep."""
+    """Chains of 6, 1, 3 and 6 steps over different rows, run in lockstep,
+    and the last chain alone in a stack of one (each ``predict`` query's
+    shape)."""
     d = 4
     rng = np.random.default_rng(9)
-    spans = np.array([(0, 6), (4, 5), (2, 5), (1, 7)])
-    stacked = {"clips": rng.standard_normal((4, 8, d))}
-    stacked["clips"][1, 4, :2] = (-0.0, 0.0)
+    all_spans = np.array([(0, 6), (4, 5), (2, 5), (1, 7)])
+    all_stacked = {"clips": rng.standard_normal((4, 8, d))}
+    all_stacked["clips"][1, 4, :2] = (-0.0, 0.0)
     if start == "trained":
-        stacked["h0"] = rng.standard_normal((4, 1, d))
+        all_stacked["h0"] = rng.standard_normal((4, 1, d))
+    params = _gru_params(rng, d)
 
-    def op(x, p, sample):
-        span = spans if sample is None else spans[sample]
-        h0 = x.get("h0", Tensor(np.zeros(span.shape[:-1] + (1, d))))
-        return C.gru_cell(x["clips"], span, h0, p)
+    for picked in ([0, 1, 2, 3], [3]):
+        spans = all_spans[picked]
 
-    _assert_stack_matches(op, stacked, _gru_params(rng, d))
+        def op(x, p, sample, spans=spans):
+            span = spans if sample is None else spans[sample]
+            h0 = x.get("h0", Tensor(np.zeros(span.shape[:-1] + (1, d))))
+            return C.gru_cell(x["clips"], span, h0, p)
+
+        _assert_stack_matches(op, {n: a[picked] for n, a in all_stacked.items()}, params)
 
 
 @pytest.mark.parametrize("axis", [-1, -2])
@@ -458,6 +466,29 @@ def test_batched_step_matches_one_sample_graphs():
     assert batched[0] == single[0]
     differ = sorted(name for name in batched[1] if batched[1][name] != single[1][name])
     assert batched[1].keys() == single[1].keys() and not differ, differ
+
+
+def test_groups_of_one_fold_as_their_consumers_run(monkeypatch):
+    """A batch of groups of one is walked from its last row to its first,
+    so each parameter's per-sample gradient folds as soon as its consumer
+    has run: a step holds no sample's gradients past its own consumers."""
+    batch = [
+        (replace(sample, qid=pos), bundle)
+        for pos, clips in enumerate((5, 6, 7, 8))
+        for sample, bundle in synth_generate(
+            SynthConfig(num_samples=1, num_clips=clips, d_v=10, d_t=6), clips
+        ).samples
+    ]
+    ran, left = T._Walk.ran, []
+
+    def ran_and_count(walk, node):
+        ran(walk, node)
+        left.append(sum(len(items) for items in walk.held.values()))
+
+    monkeypatch.setattr(T._Walk, "ran", ran_and_count)
+    parts, *_ = _mixed_step(lambda params: trainer.forward_batch(batch, params, _MIXED_CONFIG)[1])
+    assert [p.rows for p in parts] == [(0,), (1,), (2,), (3,)]
+    assert left and not any(left)
 
 
 def test_batched_predictions_match_one_sample_forwards():

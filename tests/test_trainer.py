@@ -9,7 +9,7 @@ import pytest
 from mrhd import tensor as T
 from mrhd import trainer
 from mrhd.data import ConfigError, Dataset, SynthConfig, synth_generate
-from mrhd.gradcheck import end_to_end
+from mrhd.gradcheck import check_gradients, end_to_end
 from mrhd.losses import LossWeights
 from mrhd.tensor import Tensor
 
@@ -170,6 +170,30 @@ def test_single_sample_global_term_is_zero(tiny_data, tiny_model):
 
 def test_end_to_end_gradients(tiny_data):
     assert end_to_end(0) < 1e-3
+
+
+def test_multi_sample_step_gradients_match_finite_differences():
+    """Central differences through a batch of a stacked group of two and a
+    group of one, with the batch contrastive term on: entries of
+    ``decoder.queries`` (read through per-sample copies), of a shared-block
+    weight and of a GRU weight."""
+    d = 8
+    synth = SynthConfig(num_samples=3, num_clips=6, num_tokens=3, d_v=d, d_t=d, noise=0.3)
+    batch = synth_generate(synth, 1).samples
+    config = tiny_config(d=d, lambda_lg=0.3)
+    params = trainer.init_model(np.random.default_rng(1), d, d, config)
+    names = sorted(params)
+    assert sorted(p.rows for p in trainer.forward_batch(batch, params, config)[1]) == [(0, 2), (1,)]
+
+    def build(ts):
+        return trainer.batch_total(trainer.forward_batch(batch, dict(zip(names, ts)), config)[1], config)[0]
+
+    entries = [
+        (names.index(name), j)
+        for name in ("decoder.queries", "shared_attn.attn.q.w", "gru.hu.w")
+        for j in range(0, params[name].data.size, 5)
+    ]
+    assert check_gradients(build, [params[n].data for n in names], entries) < 1e-3
 
 
 def test_batch_gradient_is_mean_of_sample_gradients(tiny_data, tiny_model):
