@@ -16,6 +16,7 @@ sinusoidal position table used elsewhere in the model.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -29,12 +30,15 @@ from .tensor import Tensor
 # positional encoding
 
 
+@functools.lru_cache(maxsize=32)
 def positional_encoding(length: int, d: int) -> np.ndarray:
-    """Standard sinusoidal table: sin on even channels, cos on odd."""
+    """Standard sinusoidal table: sin on even channels, cos on odd. Made
+    once per ``(length, d)`` and shared, so it is read-only."""
     pos = np.arange(length, dtype=np.float64)[:, None]
     idx = np.arange(d, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * np.floor(idx / 2.0) / d)
     table = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
+    table.flags.writeable = False
     return table
 
 

@@ -31,7 +31,11 @@ leaf lacks are summed as numpy's broadcasting sums them.
 ``backward`` runs the closures in reverse creation order. A node is
 created after its parents, so each gradient is complete before its closure
 reads it, and a tensor's contributions arrive in the reverse of the order
-in which its consumers were created, whatever the graph's shape.
+in which its consumers were created, whatever the graph's shape. A graph
+is walked once: as soon as a node's closure has run, the walk drops the
+node's gradient, closure and parents, so every buffer the rest of the walk
+no longer reads is freed as it goes, and a second ``backward`` through the
+node raises ``ContractError``. Leaves keep their ``.grad``.
 
 Four fused kernels stand in for the compositions the model runs most:
 ``affine`` (a linear layer), ``layer_norm``, ``attention`` (every head of
@@ -46,10 +50,11 @@ closure runs where theirs did, and three rules are left:
    graph's closures do, one ``_accumulate`` per contribution, never a
    pre-summed one (float addition of three or more terms depends on the
    order). ``gru`` hands each weight one chain per sample, its steps'
-   contributions in reverse step order, and a chain is added with one
-   ``np.add.reduce`` along axis 0 of a contiguous stack ``[existing grad,
-   step T-1, ..., step 0]``, which adds them one after another, in that
-   order, as the steps' ``+=`` chain did.
+   contributions in reverse step order, and a chain is added with
+   ``np.add.reduce`` along axis 0 of contiguous stacks ``[existing grad,
+   step T-1, ..., step T-k]``, ``[running sum, next k steps]``, ... (k at
+   most ``_FOLD_ROWS``), which add them one after another, in that order,
+   as the steps' ``+=`` chain did.
 2. Operands keep the layouts and shapes the primitive kernels gave them
    (head slices copied to C order, the transposed key copied as
    ``transpose`` did, each GRU step's (1, d) @ (d, d) product made over a
@@ -132,41 +137,57 @@ class Tensor:
         return out
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable tensor.
+        """Accumulate gradients of this scalar into every reachable tensor,
+        consuming its graph.
 
-        Collects the reachable nodes that have a closure and runs the
-        closures once each, in reverse creation order (see the module
-        docstring). Grads of tensors the loss does not depend on are left
-        as None.
+        Runs the closures of the reachable nodes once each, in reverse
+        creation order (see the module docstring). Once a node's closure
+        has run, its gradient, closure and parents are dropped, so a second
+        ``backward`` through it raises ``ContractError``. Leaves keep their
+        ``.grad``; those the loss does not depend on are left as None.
         """
         global _walk
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
-        nodes: list[Tensor] = []
-        seen: set[Tensor] = set()  # tensors hash by identity
-        stack = [self]
-        while stack:  # a loop, not recursion: deep graphs would overflow
-            node = stack.pop()
-            if node._backward is None or node in seen:
-                continue
-            seen.add(node)
-            nodes.append(node)
-            stack.extend(node._parents)
-        nodes.sort(key=attrgetter("_seq"), reverse=True)
+        nodes = _graph(self)
         walk = _walk = _Walk(nodes)
         try:
             self.grad = np.ones_like(self.data)
-            for node in nodes:
+            while nodes:  # popped last-created first; the list drops each node as it runs
+                node = nodes.pop()
                 walk.rows = node._rows
                 if node.grad is not None:
                     node._backward(node.grad)
                 if node._rows is not None:
-                    walk.ran(node)
+                    walk.ran(node)  # reads node._parents
+                node.grad, node._backward, node._parents = None, _walked, ()
         finally:
             _walk = _Walk(())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def _graph(root: Tensor) -> list[Tensor]:
+    """The nodes with a closure that ``root`` depends on, ``root``
+    included, in creation order."""
+    nodes: list[Tensor] = []
+    seen: set[Tensor] = set()  # tensors hash by identity
+    stack = [root]
+    while stack:  # a loop, not recursion: deep graphs would overflow
+        node = stack.pop()
+        if node._backward is None or node in seen:
+            continue
+        seen.add(node)
+        nodes.append(node)
+        stack.extend(node._parents)
+    nodes.sort(key=attrgetter("_seq"))
+    return nodes
+
+
+def _walked(g) -> None:
+    """The closure of a node ``backward`` has already walked."""
+    raise ContractError("backward() reached a node of a graph that an earlier backward() consumed")
 
 
 _counter = itertools.count(1)  # leaves and nodes without a closure keep 0
@@ -249,6 +270,9 @@ class _Walk:
 _walk = _Walk(())
 
 
+_FOLD_ROWS = 16  # the rows of a chain one np.add.reduce adds (rule 1)
+
+
 def _add_in_order(t: Tensor, items) -> None:
     """Add the items into ``t.grad`` one after another.
 
@@ -257,7 +281,8 @@ def _add_in_order(t: Tensor, items) -> None:
     0 or a pair ``(a, b)`` of step rows whose outer products ``a[s] b[s]^T``
     are the contributions (a GRU weight's, kept as its factors until added),
     is added as ``np.add.reduce`` adds a stack ``[grad, chain...]``: from
-    +0.0, one row after another.
+    +0.0, one row after another, ``_FOLD_ROWS`` rows per stack
+    ``[running sum, next rows...]``.
     """
     acc = t.grad
     for item in items:
@@ -267,16 +292,21 @@ def _add_in_order(t: Tensor, items) -> None:
             else:
                 acc += item
             continue
-        buf = np.empty((len(item[0]) + 1 if type(item) is tuple else len(item) + 1,) + t.data.shape)
-        if type(item) is tuple:
-            # einsum's outer products equal the (n,1)x(1,d) matmuls bit for bit
-            np.einsum("ti,tj->tij", *item, out=buf[1:])
-        else:
-            buf[1:] = item
+        n = len(item[0]) if type(item) is tuple else len(item)
+        buf = np.empty((min(n, _FOLD_ROWS) + 1,) + t.data.shape)
         buf[0] = 0.0 if acc is None else acc + 0.0
-        # axis 0 of a stack of rows of two or more numbers reduces row after
-        # row; a stack of single numbers would be summed pairwise
-        acc = np.add.reduce(buf, axis=0) if t.data.size > 1 else np.add.accumulate(buf, axis=0)[-1]
+        for start in range(0, n, _FOLD_ROWS):
+            stop = min(start + _FOLD_ROWS, n)
+            block = buf[: stop - start + 1]
+            if type(item) is tuple:
+                # einsum's outer products equal the (n,1)x(1,d) matmuls bit for bit
+                np.einsum("ti,tj->tij", item[0][start:stop], item[1][start:stop], out=block[1:])
+            else:
+                block[1:] = item[start:stop]
+            # axis 0 of a stack of rows of two or more numbers reduces row
+            # after row; a stack of single numbers would be summed pairwise
+            acc = np.add.reduce(block, axis=0) if t.data.size > 1 else np.add.accumulate(block, axis=0)[-1]
+            buf[0] = acc
     t.grad = acc
 
 
@@ -305,7 +335,7 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if lead:
         if _walk.rows is not None:
             raise ContractError(f"a gradient of shape {g.shape} for a tensor of shape {t.shape} inside a batch")
-        g = g.sum(axis=tuple(range(lead)))
+        g = np.add.reduce(g, axis=tuple(range(lead)))
     t = source
     if t.grad is None:
         # The first contribution is copied, never aliased: ``g`` may be
@@ -371,9 +401,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     lead = g.ndim - len(shape)
     keep = 1 if lead and _walk.rows is not None else 0
     if lead > keep:
-        g = g.sum(axis=tuple(range(keep, lead)))
+        g = np.add.reduce(g, axis=tuple(range(keep, lead)))
     stretched = tuple(keep + i for i, n in enumerate(shape) if n == 1 and g.shape[keep + i] != 1)
-    return g.sum(axis=stretched, keepdims=True) if stretched else g
+    return np.add.reduce(g, axis=stretched, keepdims=True) if stretched else g
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +554,12 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
 def softmax(x: Tensor, axis: int) -> Tensor:
     """Exponentiate-and-normalize along ``axis`` with max subtraction."""
     _check_axis(x, axis, "softmax")
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
+    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / np.sum(e, axis=axis, keepdims=True)
+    out_data = e / np.add.reduce(e, axis=axis, keepdims=True)
 
     def backward(g):
-        inner = np.sum(g * out_data, axis=axis, keepdims=True)
+        inner = np.add.reduce(g * out_data, axis=axis, keepdims=True)
         _accumulate(x, out_data * (g - inner))
 
     return _record(out_data, (x,), backward)
@@ -542,7 +572,7 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     """Sum along ``axis``, or of every element when it is None."""
     _check_axis(x, axis, "sum")
-    kept = np.sum(x.data, axis=axis, keepdims=True)
+    kept = np.add.reduce(x.data, axis=axis, keepdims=True)
 
     def backward(g):
         _accumulate(x, np.broadcast_to(g.reshape(kept.shape), x.shape))
@@ -553,8 +583,9 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
 def tmean(x: Tensor, axis: int | None = None) -> Tensor:
     """Mean along ``axis``, or of every element when it is None."""
     _check_axis(x, axis, "mean")
-    kept = np.mean(x.data, axis=axis, keepdims=True)
+    kept = np.add.reduce(x.data, axis=axis, keepdims=True)
     n = x.data.size // max(kept.size, 1)  # the elements in each mean
+    kept /= n  # as np.mean divides its sum
 
     def backward(g):
         _accumulate(x, np.broadcast_to(g.reshape(kept.shape) / n, x.shape))
@@ -649,7 +680,7 @@ def broadcast_rows(v: Tensor, n: int) -> Tensor:
         raise ContractError(f"broadcast_rows expects a vector or a stack of them and a row count, got {v.shape} and {n}")
 
     def backward(g):
-        _accumulate(v, g.sum(axis=-2))
+        _accumulate(v, np.add.reduce(g, axis=-2))
 
     return _record(np.repeat(v.data[..., None, :], n, axis=-2), (v,), backward)
 
@@ -669,7 +700,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if x.requires_grad:
             _accumulate(x, g @ w.data.T)
         _accumulate(w, x.data.swapaxes(-1, -2) @ g)
-        _accumulate(b, g.sum(axis=-2))
+        _accumulate(b, np.add.reduce(g, axis=-2))
 
     return _record(x.data @ w.data + b.data, (x, w, b), backward)
 
@@ -688,23 +719,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ContractError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
         )
-    centered = x.data - np.mean(x.data, axis=-1)[..., None]
-    std = np.sqrt(np.mean(centered * centered, axis=-1) + 1e-5)
+    # the means as np.mean takes them: a sum, then a division by the count
+    centered = x.data - (np.add.reduce(x.data, axis=-1) / d)[..., None]
+    std = np.sqrt(np.add.reduce(centered * centered, axis=-1) / d + 1e-5)
     normed = centered / std[..., None]
 
     def backward(g):
-        _accumulate(gain, (g * normed).sum(axis=-2))
-        _accumulate(bias, g.sum(axis=-2))
+        _accumulate(gain, np.add.reduce(g * normed, axis=-2))
+        _accumulate(bias, np.add.reduce(g, axis=-2))
         if not x.requires_grad:
             return
         g_normed = g * gain.data
         g_centered = g_normed / std[..., None]
-        g_std = (-g_normed * centered / (std * std)[..., None]).sum(axis=-1)
+        g_std = np.add.reduce(-g_normed * centered / (std * std)[..., None], axis=-1)
         g_sq = (g_std * 0.5 / std / d)[..., None] * centered
         g_centered += g_sq  # centered * centered: one addition per factor
         g_centered += g_sq
         _accumulate(x, g_centered)
-        _accumulate(x, np.broadcast_to(((-g_centered).sum(axis=-1) / d)[..., None], x.shape))
+        _accumulate(x, np.broadcast_to((np.add.reduce(-g_centered, axis=-1) / d)[..., None], x.shape))
 
     return _record(normed * gain.data + bias.data, (x, gain, bias), backward)
 
@@ -735,8 +767,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         qh, kh, vh = (m.data[..., sl].copy() for m in (q, k, v))
         kht = np.ascontiguousarray(kh.swapaxes(-1, -2))
         s = (qh @ kht) * c
-        e = np.exp(s - np.max(s, axis=-1, keepdims=True))
-        w = e / np.sum(e, axis=-1, keepdims=True)
+        e = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
+        w = e / np.add.reduce(e, axis=-1, keepdims=True)
         out[..., sl] = w @ vh
         saved.append((qh, kht, vh, w))
 
@@ -746,7 +778,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             gh = np.ascontiguousarray(g[..., sl])
             gw = gh @ vh.swapaxes(-1, -2)
             gv[..., sl] = w.swapaxes(-1, -2) @ gh
-            gs = w * (gw - np.sum(gw * w, axis=-1, keepdims=True)) * c
+            gs = w * (gw - np.add.reduce(gw * w, axis=-1, keepdims=True)) * c
             gq[..., sl] = gs @ kht.swapaxes(-1, -2)
             gk[..., sl] = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
         if heads > 1:  # the per-head scatter summed zero blocks in: -0.0 -> +0.0

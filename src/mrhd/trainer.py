@@ -259,7 +259,10 @@ def forward_batch(
     # per-sample parameter gradients held the shortest (rule 3).
     for rows in sorted(groups.values(), key=len, reverse=True):
         samples = [batch[r][0] for r in rows]
-        with T.Batch(rows):
+        # Finite but huge parameters can overflow anywhere in the forward
+        # pass: no floating-point warning escapes it, and the finiteness
+        # checks on its outputs (here and in ``predict``) judge the result.
+        with T.Batch(rows), np.errstate(all="ignore"):
             v_hat, t_hat = align.project(_stack([batch[r][1] for r in rows]), params)
             v_pos = refine.add_positions(v_hat)
             a_row, a_col = refine.cross_similarity(v_pos, t_hat, params)

@@ -281,34 +281,38 @@ def test_criterion_6_weight_sharing(tmp_path):
     # gradient through both call sites = sum of the isolated-path gradients
     params = ckpt.params
     sample, bundle = small.samples[0]
-    v_hat, t_hat = align.project(bundle, params)
-    v_pos = refine.add_positions(v_hat)
-    a_row, a_col = refine.cross_similarity(v_pos, t_hat, params)
-    f_v2q, f_q2v = refine.bidirectional_attend(a_row, a_col, v_pos, t_hat)
-    joint = refine.cross_attention_fusion(
-        refine.fuse(v_pos, t_hat, f_v2q, f_q2v, params), t_hat, params
-    )
+
+    def joint_features():
+        """The refined clips, a fresh graph each call: backward consumes one."""
+        v_hat, t_hat = align.project(bundle, params)
+        v_pos = refine.add_positions(v_hat)
+        a_row, a_col = refine.cross_similarity(v_pos, t_hat, params)
+        f_v2q, f_q2v = refine.bidirectional_attend(a_row, a_col, v_pos, t_hat)
+        return refine.cross_attention_fusion(
+            refine.fuse(v_pos, t_hat, f_v2q, f_q2v, params), t_hat, params
+        )
+
     const_h = Tensor(
-        cooperate.highlight_head(joint, params, config.heads).data.copy()
+        cooperate.highlight_head(joint_features(), params, config.heads).data.copy()
     )
     shared_keys = [k for k in params if k.startswith(cooperate.SHARED_PREFIX + ".")]
 
     def shared_grads(build):
         trainer.zero_grad(params)
-        build().backward()
+        build(joint_features()).backward()
         return {
             k: (params[k].grad.copy() if params[k].grad is not None else 0.0)
             for k in shared_keys
         }
 
     g_high = shared_grads(
-        lambda: T.tsum(cooperate.highlight_head(joint, params, config.heads))
+        lambda joint: T.tsum(cooperate.highlight_head(joint, params, config.heads))
     )
     g_hd2mr = shared_grads(
-        lambda: T.tsum(cooperate.hd2mr(joint, const_h, params, config.heads))
+        lambda joint: T.tsum(cooperate.hd2mr(joint, const_h, params, config.heads))
     )
     g_both = shared_grads(
-        lambda: T.add(
+        lambda joint: T.add(
             T.tsum(cooperate.highlight_head(joint, params, config.heads)),
             T.tsum(cooperate.hd2mr(joint, const_h, params, config.heads)),
         )

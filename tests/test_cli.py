@@ -295,7 +295,6 @@ def test_checkpoint_of_another_shape_exits_one(tiny_dir, tmp_path, caplog, edit,
     assert message in caplog.text
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize(
     "name, value, message",
     [
@@ -322,7 +321,31 @@ def test_checkpoint_that_gives_non_finite_outputs_exits_one(tiny_dir, tmp_path, 
     assert not (tmp_path / "p.jsonl").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("name", ["zattn.ln.g", "proj_v.ln.b"])
+def test_checkpoint_whose_forward_overflows_exits_zero_or_one(tiny_dir, tmp_path, caplog, command, name):
+    """Finite but huge parameters overflow inside the forward pass. With
+    warnings as errors no floating-point warning escapes it: the command
+    ends cleanly or exits 1 naming the query whose outputs are not finite,
+    never in an internal error."""
+    from mrhd import trainer
+
+    data_dir, train_cfg = tiny_dir
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--config", str(train_cfg), "--data", str(data_dir),
+                     "--out", str(ckpt)]) == 0
+    loaded = trainer.load_checkpoint(ckpt)
+    loaded.params[name].data[...] = 1e300
+    trainer.save_checkpoint(loaded, ckpt)
+    extra = ["--out", str(tmp_path / "p.jsonl")] if command == "predict" else []
+    code = cli.main([command, "--ckpt", str(ckpt), "--data", str(data_dir), *extra])
+    assert code in (0, 1)
+    assert "Traceback" not in caplog.text and "internal error" not in caplog.text
+    if name == "proj_v.ln.b":
+        assert code == 1 and "qid 0: the model's spans are not finite" in caplog.text
+
+
 def test_saturated_span_head_evaluates(tiny_dir, tmp_path):
     """Huge span-head weights saturate its sigmoid: every span decodes to
     zero width at an edge of the video, which MR2HD still reads."""

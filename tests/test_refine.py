@@ -188,6 +188,7 @@ def test_positional_encoding_shape_and_range():
     assert np.all(np.abs(table) <= 1.0)
     assert np.allclose(table[0, 0::2], 0.0)  # sin(0)
     assert np.allclose(table[0, 1::2], 1.0)  # cos(0)
+    assert refine.positional_encoding(10, 8) is table and not table.flags.writeable
 
 
 def test_multi_head_attention_heads_must_divide():

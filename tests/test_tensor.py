@@ -2,6 +2,7 @@
 
 import inspect
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -224,21 +225,61 @@ def test_train_step_grads_bit_identical_to_zero_buffer_accumulation(monkeypatch)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
-def test_every_grad_is_c_contiguous_float64_of_its_shape():
-    _, total = _tiny_batch_backward()
-    stack, seen, checked = [total], set(), 0
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(node._parents)
-        if node.grad is not None:
-            g = node.grad
+def test_every_grad_is_c_contiguous_float64_of_its_shape(monkeypatch):
+    """Each node's gradient, as its closure receives it, is a C-ordered
+    float64 array of the node's shape (the walk drops it afterwards)."""
+    checked = []
+    record = T._record
+
+    def checking_record(out_data, parents, backward):
+        out = record(out_data, parents, backward)
+        shape = out.shape
+
+        def check(g):
             assert type(g) is np.ndarray and g.dtype == np.float64
-            assert g.flags.c_contiguous and g.shape == node.shape
-            checked += 1
-    assert checked > 100
+            assert g.flags.c_contiguous and g.shape == shape
+            checked.append(shape)
+            backward(g)
+
+        if out._backward is not None:
+            out._backward = check
+        return out
+
+    monkeypatch.setattr(T, "_record", checking_record)
+    _tiny_batch_backward()
+    assert len(checked) > 100
+
+
+def test_backward_frees_every_intermediate_buffer(monkeypatch):
+    """Once ``backward`` returns, no array of a node it walked is alive but
+    the root's, which the caller still holds."""
+    buffers = []
+    record = T._record
+
+    def recording(out_data, parents, backward):
+        out = record(out_data, parents, backward)
+        if out._backward is not None:
+            buffers.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(T, "_record", recording)
+    _, total = _tiny_batch_backward()
+    alive = [ref() for ref in buffers if ref() is not None]
+    assert len(buffers) > 100
+    assert len(alive) == 1 and alive[0] is total.data
+
+
+def test_second_backward_raises_and_leaves_keep_their_grads():
+    x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    loss = T.tsum(T.mul(x, T.tanh(x)))
+    loss.backward()
+    assert loss.grad is None
+    grad = x.grad.copy()
+    with pytest.raises(ContractError):
+        loss.backward()
+    with pytest.raises(ContractError):  # a new graph over a walked node
+        T.tsum(T.scale(loss, 2.0)).backward()
+    assert np.array_equal(x.grad, grad)
 
 
 def test_kernel_suite_checks_every_public_kernel(monkeypatch):
