@@ -123,7 +123,7 @@ def moment_decoder(
     scores; a batch of memories reads one copy of the queries per sample."""
     q = params["decoder.queries"]
     if z_hat.ndim > 2:
-        q = q.per_sample(z_hat.shape[0])
+        q = T.concat([T.reshape(q, (1,) + q.shape)] * z_hat.shape[0], axis=0)
     for k in range(decoder_layers):
         q = transformer_block(q, params, f"decoder.layer{k}", heads, memory=z_hat)
     center_width = T.sigmoid(linear(q, params, "decoder.span"))

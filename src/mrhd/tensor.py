@@ -21,12 +21,12 @@ batch of independent samples, which is numpy's matmul and broadcasting
 rule; shape checks look at the trailing axes only. A stacked result is
 byte-equal to the per-sample ones (each sample's matmul is its own BLAS
 call of the same shape, and each reduction runs along the same axis with
-the same length). Nodes recorded inside ``with Batch(rows):`` take axis 0
-as the sample axis, sample i being position ``rows[i]`` of the training
-batch, a batch of one included. A leaf that the samples share, a
-parameter or the ``per_sample`` copies of one, then gets one gradient
-contribution per sample (rule 3); outside a batch, leading axes that a
-leaf lacks are summed as numpy's broadcasting sums them.
+the same length). A tensor the samples share, such as a parameter, gets
+a stack's gradient summed over the leading axes it lacks, as numpy's
+broadcasting sums them (``np.add.reduce``), and the sum is added into
+its ``.grad`` when it arrives, like any other contribution. The samples
+have no order beyond that: a shared gradient from a stack agrees with
+the sum over one-sample graphs to a few ulps, not bit for bit.
 
 ``backward`` runs the closures in reverse creation order. A node is
 created after its parents, so each gradient is complete before its closure
@@ -40,21 +40,22 @@ node raises ``ContractError``. Leaves keep their ``.grad``.
 Four fused kernels stand in for the compositions the model runs most:
 ``affine`` (a linear layer), ``layer_norm``, ``attention`` (every head of
 a multi-head attention) and ``gru`` (every sample's GRU chain, one step
-per row, as one node). Each gives the same bits, in its outputs and in
-every gradient, as the primitive composition it replaces;
-``tests/test_fused.py`` compares them byte for byte. A fused node takes
+per row, as one node). On one sample, a stack of one included, each
+gives the same bits, in its outputs and in every gradient, as the
+primitive composition it replaces; ``tests/test_fused.py`` compares them
+byte for byte. A fused node takes
 one number where the composition took a run of consecutive ones, so its
-closure runs where theirs did, and three rules are left:
+closure runs where theirs did, and two rules are left:
 
 1. A fused backward adds into each input in the order the primitive
    graph's closures do, one ``_accumulate`` per contribution, never a
    pre-summed one (float addition of three or more terms depends on the
-   order). ``gru`` hands each weight one chain per sample, its steps'
-   contributions in reverse step order, and a chain is added with
-   ``np.add.reduce`` along axis 0 of contiguous stacks ``[existing grad,
-   step T-1, ..., step T-k]``, ``[running sum, next k steps]``, ... (k at
-   most ``_FOLD_ROWS``), which add them one after another, in that order,
-   as the steps' ``+=`` chain did.
+   order). ``gru`` hands each weight one chain per sample, in sample
+   order, its steps' contributions in reverse step order, and a chain is
+   added with ``np.add.reduce`` along axis 0 of contiguous stacks
+   ``[existing grad, step T-1, ..., step T-k]``, ``[running sum, next k
+   steps]``, ... (k at most ``_FOLD_ROWS``), which add them one after
+   another, in that order, as the steps' ``+=`` chain did.
 2. Operands keep the layouts and shapes the primitive kernels gave them
    (head slices copied to C order, the transposed key copied as
    ``transpose`` did, each GRU step's (1, d) @ (d, d) product made over a
@@ -63,24 +64,12 @@ closure runs where theirs did, and three rules are left:
    bits), since a BLAS call on another layout or shape may sum in
    another order; and signed zeros come out as the primitive scatter left
    them.
-3. Sample-major fold. Graphs built one sample after another and walked
-   together add each parameter's contributions sample by sample, the last
-   sample's first, and within a sample in walk order. Inside a batch, a
-   shared leaf's per-sample contributions are held and added the same
-   way: batch positions from the last to the first, and at one position in
-   the order the walk produced them, one addition at a time as
-   ``_accumulate`` adds (a GRU chain as rule 1 adds it). A held
-   contribution is added as soon as no consumer left in the walk can
-   produce one that goes before it, so a parameter with one consumer per
-   sample folds as soon as its stack arrives, and all are added once the
-   leaf's last batched consumer has run.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from operator import attrgetter
 
 import numpy as np
@@ -97,7 +86,7 @@ def _as_array(values) -> np.ndarray:
 class Tensor:
     """A float64 array that remembers the operation graph producing it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq", "_rows")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq")
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = _as_array(values)
@@ -106,7 +95,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
         self._seq = 0
-        self._rows: tuple[int, ...] | None = None  # a node's batch positions (see ``Batch``)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -121,21 +109,6 @@ class Tensor:
             raise ContractError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def per_sample(self, n: int) -> "Tensor":
-        """``n`` copies of this leaf stacked on a new first axis, one per
-        sample, as a leaf of their own.
-
-        Inside a batch the gradient of copy i reaches this tensor as sample
-        i's contribution, each consumer's on its own (rule 3): one broadcast
-        node would add a sample's contributions together first. Outside a
-        batch the copies' gradients are summed.
-        """
-        if self._backward is not None or self._parents:
-            raise ContractError("per_sample copies a leaf")
-        out = Tensor(np.repeat(self.data[None], n, axis=0), self.requires_grad)
-        out._parents = (self,)
-        return out
-
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable tensor,
         consuming its graph.
@@ -146,23 +119,15 @@ class Tensor:
         ``backward`` through it raises ``ContractError``. Leaves keep their
         ``.grad``; those the loss does not depend on are left as None.
         """
-        global _walk
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
         nodes = _graph(self)
-        walk = _walk = _Walk(nodes)
-        try:
-            self.grad = np.ones_like(self.data)
-            while nodes:  # popped last-created first; the list drops each node as it runs
-                node = nodes.pop()
-                walk.rows = node._rows
-                if node.grad is not None:
-                    node._backward(node.grad)
-                if node._rows is not None:
-                    walk.ran(node)  # reads node._parents
-                node.grad, node._backward, node._parents = None, _walked, ()
-        finally:
-            _walk = _Walk(())
+        self.grad = np.ones_like(self.data)
+        while nodes:  # popped last-created first; the list drops each node as it runs
+            node = nodes.pop()
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _walked, ()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -191,118 +156,34 @@ def _walked(g) -> None:
 
 
 _counter = itertools.count(1)  # leaves and nodes without a closure keep 0
-_batch_rows: tuple[int, ...] | None = None  # the rows of the innermost ``Batch``
-
-
-class Batch:
-    """``with Batch(rows):`` the nodes recorded inside take axis 0 of their
-    tensors as the sample axis, sample i being position ``rows[i]`` of the
-    training batch, a batch of one included; rule 3 of the module
-    docstring orders the per-sample gradients of the leaves they share by
-    these positions."""
-
-    def __init__(self, rows):
-        self.rows = tuple(int(r) for r in rows)
-
-    def __enter__(self) -> "Batch":
-        global _batch_rows
-        self._outer, _batch_rows = _batch_rows, self.rows
-        return self
-
-    def __exit__(self, *exc) -> None:
-        global _batch_rows
-        _batch_rows = self._outer
-
-
-def _is_shared(t: Tensor) -> bool:
-    """A leaf that takes part in the gradient walk: a parameter or its copies."""
-    return t.requires_grad and t._backward is None
-
-
-def _source(t: Tensor) -> Tensor:
-    """The leaf a gradient of ``t`` belongs to: the one ``t`` copies, or ``t``."""
-    return t._parents[0] if t._parents and t._backward is None else t
-
-
-class _Walk:
-    """A running ``backward``: the rows of the node whose closure runs, the
-    per-sample contributions to shared leaves that rule 3 still holds, and
-    for each shared leaf the top rows of its batched consumers yet to run."""
-
-    def __init__(self, nodes):
-        self.rows: tuple[int, ...] | None = None
-        self.held: dict[Tensor, list] = {}
-        self.tops: dict[Tensor, Counter[int]] = {}
-        for node in nodes:
-            if node._rows is not None:
-                for p in node._parents:
-                    if _is_shared(p):
-                        self.tops.setdefault(_source(p), Counter())[max(node._rows)] += 1
-
-    def hold(self, leaf: Tensor, items) -> None:
-        """Keep one ``_add_in_order`` item per sample of the running node."""
-        if len(items) != len(self.rows):
-            raise ContractError(f"{len(items)} per-sample gradients for a batch of {len(self.rows)}")
-        self.held.setdefault(leaf, []).extend(zip(self.rows, items))
-
-    def ran(self, node: Tensor) -> None:
-        """Fold into each leaf ``node`` read the held contributions that no
-        consumer yet to run can precede, those at rows no lower than any
-        such consumer's top row (all once none is left): rows from the last
-        to the first, and at one row in walk order (the sort is stable)."""
-        top = max(node._rows)
-        for p in node._parents:
-            if not _is_shared(p):
-                continue
-            leaf = _source(p)
-            tops = self.tops[leaf]
-            tops[top] -= 1
-            if not tops[top]:
-                del tops[top]
-            held = self.held.get(leaf)
-            if held:
-                bound = max(tops, default=-1)
-                held.sort(key=lambda e: -e[0])
-                _add_in_order(leaf, [item for row, item in held if row >= bound])
-                held[:] = [e for e in held if e[0] < bound]
-
-
-_walk = _Walk(())
-
-
 _FOLD_ROWS = 16  # the rows of a chain one np.add.reduce adds (rule 1)
 
 
-def _add_in_order(t: Tensor, items) -> None:
-    """Add the items into ``t.grad`` one after another.
+def _add_in_order(t: Tensor, chains) -> None:
+    """Add the chains of contributions into ``t.grad`` one after another.
 
-    An item of ``t``'s shape is one contribution, added as ``_accumulate``
-    adds (the first copied). A chain, an array of contributions along axis
-    0 or a pair ``(a, b)`` of step rows whose outer products ``a[s] b[s]^T``
-    are the contributions (a GRU weight's, kept as its factors until added),
-    is added as ``np.add.reduce`` adds a stack ``[grad, chain...]``: from
-    +0.0, one row after another, ``_FOLD_ROWS`` rows per stack
-    ``[running sum, next rows...]``.
+    A chain is an array of contributions along axis 0, or a pair ``(a, b)``
+    of step rows whose outer products ``a[s] b[s]^T`` are the contributions
+    (a GRU weight's, kept as its factors until added). It is added as
+    ``np.add.reduce`` adds a stack ``[grad, chain...]``: from +0.0, one row
+    after another, ``_FOLD_ROWS`` rows per stack ``[running sum, next
+    rows...]``.
     """
+    if not t.requires_grad:
+        return
     acc = t.grad
-    for item in items:
-        if type(item) is not tuple and item.ndim == t.ndim:
-            if acc is None:
-                acc = np.array(item, dtype=np.float64, order="C")
-            else:
-                acc += item
-            continue
-        n = len(item[0]) if type(item) is tuple else len(item)
+    for chain in chains:
+        n = len(chain[0]) if type(chain) is tuple else len(chain)
         buf = np.empty((min(n, _FOLD_ROWS) + 1,) + t.data.shape)
         buf[0] = 0.0 if acc is None else acc + 0.0
         for start in range(0, n, _FOLD_ROWS):
             stop = min(start + _FOLD_ROWS, n)
             block = buf[: stop - start + 1]
-            if type(item) is tuple:
+            if type(chain) is tuple:
                 # einsum's outer products equal the (n,1)x(1,d) matmuls bit for bit
-                np.einsum("ti,tj->tij", item[0][start:stop], item[1][start:stop], out=block[1:])
+                np.einsum("ti,tj->tij", chain[0][start:stop], chain[1][start:stop], out=block[1:])
             else:
-                block[1:] = item[start:stop]
+                block[1:] = chain[start:stop]
             # axis 0 of a stack of rows of two or more numbers reduces row
             # after row; a stack of single numbers would be summed pairwise
             acc = np.add.reduce(block, axis=0) if t.data.size > 1 else np.add.accumulate(block, axis=0)[-1]
@@ -310,33 +191,14 @@ def _add_in_order(t: Tensor, items) -> None:
     t.grad = acc
 
 
-def _add_chains(t: Tensor, chains) -> None:
-    """Add one chain of contributions per sample into ``t``: held by rule 3
-    for a shared leaf inside a batch, in sample order otherwise."""
-    if not t.requires_grad:
-        return
-    if _walk.rows is not None and t._backward is None:
-        _walk.hold(t, chains)
-    else:
-        _add_in_order(t, chains)
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add one contribution into ``t.grad``, summed first over the leading
+    axes ``t`` lacks (a stack's samples, for a tensor they share)."""
     if not t.requires_grad:
         return
-    source = _source(t)
-    if _walk.rows is not None and t._backward is None and g.ndim > source.ndim:
-        # a shared leaf inside a batch: one contribution per sample (rule 3)
-        if g.shape[1:] != source.shape:
-            raise ContractError(f"per-sample gradients of shape {g.shape} for a leaf of shape {source.shape}")
-        _walk.hold(source, g)
-        return
-    lead = g.ndim - source.ndim
+    lead = g.ndim - t.ndim
     if lead:
-        if _walk.rows is not None:
-            raise ContractError(f"a gradient of shape {g.shape} for a tensor of shape {t.shape} inside a batch")
         g = np.add.reduce(g, axis=tuple(range(lead)))
-    t = source
     if t.grad is None:
         # The first contribution is copied, never aliased: ``g`` may be
         # another node's gradient or a view that later ``+=`` must not
@@ -365,14 +227,12 @@ def _record(out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tens
     out._parents = ()
     out._backward = None
     out._seq = 0
-    out._rows = None
     for p in parents:
         if p.requires_grad:
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
             out._seq = next(_counter)
-            out._rows = _batch_rows
             break
     return out
 
@@ -394,15 +254,13 @@ def _broadcast(op, a: Tensor, b: Tensor, name: str) -> np.ndarray:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` over the axes broadcasting stretched an operand of ``shape``
-    along, giving it that shape back; inside a batch the sample axis the
-    operand lacks stays, for ``_accumulate`` to fold."""
+    along, giving it that shape back."""
     if g.shape == shape:
         return g
     lead = g.ndim - len(shape)
-    keep = 1 if lead and _walk.rows is not None else 0
-    if lead > keep:
-        g = np.add.reduce(g, axis=tuple(range(keep, lead)))
-    stretched = tuple(keep + i for i, n in enumerate(shape) if n == 1 and g.shape[keep + i] != 1)
+    if lead:
+        g = np.add.reduce(g, axis=tuple(range(lead)))
+    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     return np.add.reduce(g, axis=stretched, keepdims=True) if stretched else g
 
 
@@ -809,8 +667,8 @@ def gru(x: Tensor, spans, h: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
     Each chain gives the bits of one primitive step per row slice (rules 1
     and 2 of the module docstring): every (1, d) row product is made in a
     stack of (1, d) rows, in the forward and in the ``x`` and ``h``
-    gradients, and each weight and bias gets one chain per sample, its
-    steps' contributions in reverse step order (rule 3 orders the chains).
+    gradients, and each weight and bias gets one chain per sample, in
+    sample order, its steps' contributions in reverse step order.
     The chains run in lockstep, the longest first, so that the chains still
     running at a step are the first ones.
     """
@@ -923,7 +781,7 @@ def gru(x: Tensor, spans, h: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
         ):
             # each sample's steps in reverse order; W's as its outer products' factors
             backwards = [(slice(steps[i] - 1, None, -1), at[i], 0) for i in range(n)]
-            _add_chains(w, [(inp[rev], g_w[rev]) for rev in backwards])
-            _add_chains(b, [g_w[rev] for rev in backwards])
+            _add_in_order(w, [(inp[rev], g_w[rev]) for rev in backwards])
+            _add_in_order(b, [g_w[rev] for rev in backwards])
 
     return _record(last, (x, h, *weights), backward)

@@ -242,9 +242,8 @@ def forward_batch(
     each group's ``SampleLosses``. Reported highlight scores are always the
     moment-refined ones. ``saliency_seed`` picks the ranking-pair subsets;
     the training loop varies it per step so the 16-pair cap still covers
-    every valid pair over time. The stacks give each sample the bits its
-    own graph would, and ``tensor.Batch`` folds the parameters' gradients
-    in batch order (rule 3 of ``tensor``).
+    every valid pair over time. The stacks give each sample the outputs
+    its own graph would, bit for bit.
     """
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -255,14 +254,12 @@ def forward_batch(
         groups.setdefault(_group_key(sample, bundle, None if pairs is None else pairs[pos]), []).append(pos)
     predictions: list = [None] * len(batch)
     parts, not_finite = [], []
-    # The largest group first: walked last, it keeps the other groups'
-    # per-sample parameter gradients held the shortest (rule 3).
-    for rows in sorted(groups.values(), key=len, reverse=True):
+    for rows in groups.values():
         samples = [batch[r][0] for r in rows]
         # Finite but huge parameters can overflow anywhere in the forward
         # pass: no floating-point warning escapes it, and the finiteness
         # checks on its outputs (here and in ``predict``) judge the result.
-        with T.Batch(rows), np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):
             v_hat, t_hat = align.project(_stack([batch[r][1] for r in rows]), params)
             v_pos = refine.add_positions(v_hat)
             a_row, a_col = refine.cross_similarity(v_pos, t_hat, params)
@@ -595,6 +592,9 @@ def train(config: TrainConfig, dataset: Dataset) -> Checkpoint:
     takes an Adam step whose size ``learning_rate_at`` derives from
     ``config.learning_rate`` and the run length, ``epochs`` x batches.
     ``feature_dims`` and ``init_model`` refuse an empty dataset or a bad config.
+    Each epoch logs its mean batch loss and its largest pre-clip gradient
+    norm; a warning says when every top span of the last epoch has zero
+    width, a span head that has collapsed.
     """
     rng = np.random.default_rng(config.seed)
     d_v, d_t = feature_dims(dataset)
@@ -604,14 +604,17 @@ def train(config: TrainConfig, dataset: Dataset) -> Checkpoint:
     n = len(dataset.samples)
     total_steps = config.epochs * math.ceil(n / config.batch_size)
     step = 0
+    collapsed = False
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_total = 0.0
         batches = 0
+        largest_norm = 0.0
+        collapsed = True
         for start in range(0, n, config.batch_size):
             chosen = order[start : start + config.batch_size]
             zero_grad(params)
-            _, parts = forward_batch(
+            predictions, parts = forward_batch(
                 [dataset.samples[i] for i in chosen], params, config, "train",
                 saliency_seed=config.seed + step,
             )
@@ -621,13 +624,19 @@ def train(config: TrainConfig, dataset: Dataset) -> Checkpoint:
                     f"non-finite loss at step {step}: {breakdown}"
                 )
             total.backward()
-            clip_gradients(params, GRAD_CLIP_NORM)
+            largest_norm = max(largest_norm, clip_gradients(params, GRAD_CLIP_NORM))
+            collapsed = collapsed and all(p.spans[0][0] == p.spans[0][1] for p in predictions)
             opt.learning_rate = learning_rate_at(step, total_steps, config.learning_rate)
             opt.step(params)
             step += 1
             epoch_total += breakdown.total
             batches += 1
-        log.info("epoch %d: mean batch loss %.6f", epoch, epoch_total / max(batches, 1))
+        log.info(
+            "epoch %d: mean batch loss %.6f, largest pre-clip gradient norm %.6g",
+            epoch, epoch_total / max(batches, 1), largest_norm,
+        )
+    if collapsed:
+        log.warning("every top span of the last epoch has zero width: the span head has collapsed")
     return Checkpoint(
         params=params, config=config, step=step, adam_m=opt.m, adam_v=opt.v, adam_t=opt.t
     )

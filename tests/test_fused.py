@@ -314,20 +314,23 @@ def test_fused_kernels_record_one_node_each(monkeypatch):
 
 
 def _stacked_and_slices(op, stacked: dict, shared: dict, seed: int = 0):
-    """``op(inputs, params, sample)`` once on the (b, ...) stacks inside a
-    batch (``sample`` None) and once per sample on its slices, each its own
-    graph. Returns, for each run, the output and every leaf's grad as
-    bytes, the per-sample ones stacked back in sample order."""
+    """``op(inputs, params, sample)`` once on the (b, ...) stacks (``sample``
+    None) and once per sample on its slices, each its own graph. Returns,
+    for each run, the output and the stacked inputs' grads as bytes, the
+    per-sample ones stacked back in sample order, and the shared params'
+    grads."""
     b = len(next(iter(stacked.values())))
 
     def proj(shape):
         return np.random.default_rng(seed).standard_normal(shape)
 
     leaves, params = _leaves(stacked), _leaves(shared)
-    with T.Batch(range(b)):
-        out = op(leaves, params, None)
+    out = op(leaves, params, None)
     T.tsum(T.mul(out, Tensor(proj(out.shape)))).backward()
-    together = out.data.tobytes(), {n: t.grad.tobytes() for n, t in {**leaves, **params}.items()}
+    together = (
+        out.data.tobytes(), {n: t.grad.tobytes() for n, t in leaves.items()},
+        {n: t.grad for n, t in params.items()},
+    )
 
     per_sample = [_leaves({n: a[i] for n, a in stacked.items()}) for i in range(b)]
     params = _leaves(shared)
@@ -337,14 +340,29 @@ def _stacked_and_slices(op, stacked: dict, shared: dict, seed: int = 0):
     for o, w in zip(outs[1:], weights[1:]):
         total = T.add(total, T.tsum(T.mul(o, Tensor(w))))
     total.backward()
-    grads = {n: np.stack([s[n].grad for s in per_sample]).tobytes() for n in stacked}
-    grads.update({n: t.grad.tobytes() for n, t in params.items()})
-    return together, (np.stack([o.data for o in outs]).tobytes(), grads)
+    apart = (
+        np.stack([o.data for o in outs]).tobytes(),
+        {n: np.stack([s[n].grad for s in per_sample]).tobytes() for n in stacked},
+        {n: t.grad for n, t in params.items()},
+    )
+    return together, apart
+
+
+def _assert_shared_close(got: dict, want: dict):
+    """A stack sums a shared param's per-sample gradients in another order
+    than separate graphs add them: equal up to 1e-12 of its largest entry."""
+    assert got.keys() == want.keys()
+    far = sorted(
+        name for name in got
+        if np.max(np.abs(got[name] - want[name])) > 1e-12 * np.max(np.abs(want[name]))
+    )
+    assert not far, f"shared grads differ past 1e-12: {far}"
 
 
 def _assert_stack_matches(op, stacked, shared):
     together, apart = _stacked_and_slices(op, stacked, shared)
-    _assert_same(together, apart)
+    _assert_same(together[:2], apart[:2])
+    _assert_shared_close(together[2], apart[2])
 
 
 @pytest.mark.parametrize("rows", [1, 6, 75])
@@ -443,52 +461,27 @@ def _mixed_step(build_parts):
     parts = build_parts(params)
     total, breakdown = trainer.batch_total(parts, _MIXED_CONFIG)
     total.backward()
-    return parts, breakdown, {name: p.grad.tobytes() for name, p in params.items()}
+    return parts, breakdown, {name: p.grad for name, p in params.items()}
 
 
 def test_batched_step_matches_one_sample_graphs():
     """Groups of stacked samples against one graph per sample: the loss
-    breakdown and every parameter gradient, byte for byte. Each shared
-    block parameter and ``decoder.queries`` get two contributions per
-    sample, which must be added one by one in sample order; adding a
-    sample's two together first changes the bits."""
+    breakdown byte for byte, and every parameter gradient within 1e-12 of
+    its largest entry (a stack sums its samples' shares of a parameter's
+    gradient before adding them in)."""
     batch = _mixed_batch()
     seed = 3
-    parts, *batched = _mixed_step(
+    parts, breakdown, grads = _mixed_step(
         lambda params: trainer.forward_batch(batch, params, _MIXED_CONFIG, "train", seed)[1]
     )
     assert sorted(p.rows for p in parts) == [(0, 2), (1, 4), (3,)]
-    _, *single = _mixed_step(
+    _, want_breakdown, want_grads = _mixed_step(
         lambda params: [
             trainer.forward(s, b, params, _MIXED_CONFIG, "train", seed).parts for s, b in batch
         ]
     )
-    assert batched[0] == single[0]
-    differ = sorted(name for name in batched[1] if batched[1][name] != single[1][name])
-    assert batched[1].keys() == single[1].keys() and not differ, differ
-
-
-def test_groups_of_one_fold_as_their_consumers_run(monkeypatch):
-    """A batch of groups of one is walked from its last row to its first,
-    so each parameter's per-sample gradient folds as soon as its consumer
-    has run: a step holds no sample's gradients past its own consumers."""
-    batch = [
-        (replace(sample, qid=pos), bundle)
-        for pos, clips in enumerate((5, 6, 7, 8))
-        for sample, bundle in synth_generate(
-            SynthConfig(num_samples=1, num_clips=clips, d_v=10, d_t=6), clips
-        ).samples
-    ]
-    ran, left = T._Walk.ran, []
-
-    def ran_and_count(walk, node):
-        ran(walk, node)
-        left.append(sum(len(items) for items in walk.held.values()))
-
-    monkeypatch.setattr(T._Walk, "ran", ran_and_count)
-    parts, *_ = _mixed_step(lambda params: trainer.forward_batch(batch, params, _MIXED_CONFIG)[1])
-    assert [p.rows for p in parts] == [(0,), (1,), (2,), (3,)]
-    assert left and not any(left)
+    assert breakdown == want_breakdown
+    _assert_shared_close(grads, want_grads)
 
 
 def test_batched_predictions_match_one_sample_forwards():

@@ -188,11 +188,9 @@ def test_layer_norm_affine_params_receive_grads():
 def _zeros_then_add(t, g):
     """Gradient accumulation as a zero buffer plus every contribution: the
     reference the copy-on-first-contribution engine must equal. A one-sample
-    graph hands a shared leaf (a parameter, or its per-sample copy) a stack
-    of one contribution."""
+    graph hands a parameter a stack of one contribution."""
     if not t.requires_grad:
         return
-    t = T._source(t)
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g.reshape(t.shape)

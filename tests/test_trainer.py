@@ -1,6 +1,7 @@
 """Trainer: config, forward wiring, Adam loop, checkpoints, prediction."""
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -304,14 +305,27 @@ def test_train_is_deterministic(tiny_data):
     assert a.step == b.step
 
 
-def test_train_descends(tiny_data):
+def test_train_descends(tiny_data, caplog):
     cfg = tiny_config(epochs=15, batch_size=4)
     rng = np.random.default_rng(cfg.seed)
     params0 = trainer.init_model(rng, *trainer.feature_dims(tiny_data), cfg)
     start = trainer.dataset_breakdown(params0, cfg, tiny_data).total
-    ckpt = trainer.train(cfg, tiny_data)
+    with caplog.at_level(logging.INFO, logger=trainer.log.name):
+        ckpt = trainer.train(cfg, tiny_data)
     end = trainer.dataset_breakdown(ckpt.params, cfg, tiny_data).total
     assert end < start
+    epochs = [r.getMessage() for r in caplog.records if r.getMessage().startswith("epoch ")]
+    assert len(epochs) == 15 and all("largest pre-clip gradient norm" in m for m in epochs)
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def test_train_warns_when_every_top_span_has_zero_width(tiny_data, monkeypatch, caplog):
+    monkeypatch.setattr(trainer.cooperate, "decode_spans", lambda cw, scores, duration: [(0.0, 0.0, 1.0)])
+    with caplog.at_level(logging.WARNING, logger=trainer.log.name):
+        trainer.train(tiny_config(epochs=2, batch_size=3), tiny_data)
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+        "every top span of the last epoch has zero width: the span head has collapsed"
+    ]
 
 
 def test_train_counts_steps(tiny_data):
