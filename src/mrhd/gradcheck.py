@@ -169,4 +169,12 @@ def kernel_suite(seeds: range | list[int]) -> dict[str, float]:
         chain = [rng.standard_normal((3, 2)), rng.standard_normal((1, 2))]
         weights = [rng.standard_normal((2, 2) if i % 2 == 0 else 2) for i in range(12)]
         run("gru", lambda ts: T.gru(ts[0], (0, 3), ts[1], tuple(ts[2:])), chain + weights)
+        # stacks: two samples through one layer, and chains of 3, 1 and 2
+        # steps in lockstep from a state that requires grad and from zero
+        run("affine_stacked", lambda ts: T.affine(ts[0], ts[1], ts[2]), [rng.standard_normal((2, m, k)), b, rng.standard_normal(n)])
+        spans, starts = [(0, 3), (2, 3), (1, 3)], rng.standard_normal((3, 1, 2))
+        stacked = rng.standard_normal((3, 3, 2))
+        run("gru_stacked", lambda ts: T.gru(ts[0], spans, ts[1], tuple(ts[2:])), [stacked, starts] + weights)
+        zero = Tensor(np.zeros((3, 1, 2)))
+        run("gru_stacked_zero_start", lambda ts: T.gru(ts[0], spans, zero, tuple(ts[1:])), [stacked] + weights)
     return worst

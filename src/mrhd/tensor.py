@@ -18,15 +18,16 @@ reductions, concat, slicing along an axis, row gathering, transpose, and
 
 Batches. Every kernel treats the axes before its last one or two as a
 batch of independent samples, which is numpy's matmul and broadcasting
-rule; shape checks look at the trailing axes only. A stacked result is
-byte-equal to the per-sample ones (each sample's matmul is its own BLAS
-call of the same shape, and each reduction runs along the same axis with
-the same length). A tensor the samples share, such as a parameter, gets
-a stack's gradient summed over the leading axes it lacks, as numpy's
-broadcasting sums them (``np.add.reduce``), and the sum is added into
-its ``.grad`` when it arrives, like any other contribution. The samples
-have no order beyond that: a shared gradient from a stack agrees with
-the sum over one-sample graphs to a few ulps, not bit for bit.
+rule; shape checks look at the trailing axes only. A stacked forward
+result is byte-equal to the per-sample ones (each sample's matmul is its
+own BLAS call of the same shape, and each reduction runs along the same
+axis with the same length). Gradients are not: a fused backward (below)
+runs one product over every row of a stack, so a stack's per-sample
+input gradients agree with one graph per sample to a few ulps, not bit
+for bit. A tensor the samples share, such as a parameter, gets a stack's
+gradient summed over the leading axes it lacks, as numpy's broadcasting
+sums them (``np.add.reduce``), and the sum is added into its ``.grad``
+when it arrives, like any other contribution.
 
 ``backward`` runs the closures in reverse creation order. A node is
 created after its parents, so each gradient is complete before its closure
@@ -40,30 +41,17 @@ node raises ``ContractError``. Leaves keep their ``.grad``.
 Four fused kernels stand in for the compositions the model runs most:
 ``affine`` (a linear layer), ``layer_norm``, ``attention`` (every head of
 a multi-head attention) and ``gru`` (every sample's GRU chain, one step
-per row, as one node). On one sample, a stack of one included, each
-gives the same bits, in its outputs and in every gradient, as the
-primitive composition it replaces; ``tests/test_fused.py`` compares them
-byte for byte. A fused node takes
-one number where the composition took a run of consecutive ones, so its
-closure runs where theirs did, and two rules are left:
-
-1. A fused backward adds into each input in the order the primitive
-   graph's closures do, one ``_accumulate`` per contribution, never a
-   pre-summed one (float addition of three or more terms depends on the
-   order). ``gru`` hands each weight one chain per sample, in sample
-   order, its steps' contributions in reverse step order, and a chain is
-   added with ``np.add.reduce`` along axis 0 of contiguous stacks
-   ``[existing grad, step T-1, ..., step T-k]``, ``[running sum, next k
-   steps]``, ... (k at most ``_FOLD_ROWS``), which add them one after
-   another, in that order, as the steps' ``+=`` chain did.
-2. Operands keep the layouts and shapes the primitive kernels gave them
-   (head slices copied to C order, the transposed key copied as
-   ``transpose`` did, each GRU step's (1, d) @ (d, d) product made over a
-   stack of (1, d) rows, which numpy runs as one BLAS call per row; one
-   (T, d) @ (d, d) product differs from the row products in the last
-   bits), since a BLAS call on another layout or shape may sum in
-   another order; and signed zeros come out as the primitive scatter left
-   them.
+per row, as one node). Each forward gives the bits of the primitive
+composition it replaces, on one sample and on each sample of a stack,
+because its operands keep the layouts and shapes the primitive kernels
+gave them: head slices copied to C order, the transposed key copied as
+``transpose`` did, each GRU step's (1, d) @ (d, d) product made over a
+stack of (1, d) rows, which numpy runs as one BLAS call per row (one
+(T, d) @ (d, d) product differs from the row products in the last bits).
+Each backward is the gradient of the fused op itself, its products made
+over whole stacks: it agrees with the composition's gradients to about
+1e-14 of their largest entry, not bit for bit. ``tests/test_fused.py``
+checks both.
 """
 
 from __future__ import annotations
@@ -156,39 +144,6 @@ def _walked(g) -> None:
 
 
 _counter = itertools.count(1)  # leaves and nodes without a closure keep 0
-_FOLD_ROWS = 16  # the rows of a chain one np.add.reduce adds (rule 1)
-
-
-def _add_in_order(t: Tensor, chains) -> None:
-    """Add the chains of contributions into ``t.grad`` one after another.
-
-    A chain is an array of contributions along axis 0, or a pair ``(a, b)``
-    of step rows whose outer products ``a[s] b[s]^T`` are the contributions
-    (a GRU weight's, kept as its factors until added). It is added as
-    ``np.add.reduce`` adds a stack ``[grad, chain...]``: from +0.0, one row
-    after another, ``_FOLD_ROWS`` rows per stack ``[running sum, next
-    rows...]``.
-    """
-    if not t.requires_grad:
-        return
-    acc = t.grad
-    for chain in chains:
-        n = len(chain[0]) if type(chain) is tuple else len(chain)
-        buf = np.empty((min(n, _FOLD_ROWS) + 1,) + t.data.shape)
-        buf[0] = 0.0 if acc is None else acc + 0.0
-        for start in range(0, n, _FOLD_ROWS):
-            stop = min(start + _FOLD_ROWS, n)
-            block = buf[: stop - start + 1]
-            if type(chain) is tuple:
-                # einsum's outer products equal the (n,1)x(1,d) matmuls bit for bit
-                np.einsum("ti,tj->tij", chain[0][start:stop], chain[1][start:stop], out=block[1:])
-            else:
-                block[1:] = chain[start:stop]
-            # axis 0 of a stack of rows of two or more numbers reduces row
-            # after row; a stack of single numbers would be summed pairwise
-            acc = np.add.reduce(block, axis=0) if t.data.size > 1 else np.add.accumulate(block, axis=0)[-1]
-            buf[0] = acc
-    t.grad = acc
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -544,7 +499,7 @@ def broadcast_rows(v: Tensor, n: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# fused kernels (see the module docstring for the ordering rules they keep)
+# fused kernels (see the module docstring for the forward layouts they keep)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -554,22 +509,21 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != (w.shape[1],):
         raise ContractError(f"affine bias must have shape {(w.shape[1],)}, got {b.shape}")
 
+    k, n = w.shape
+
     def backward(g):
+        rows = g.reshape(-1, n)  # every sample's rows, one matrix
         if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
-        _accumulate(w, x.data.swapaxes(-1, -2) @ g)
-        _accumulate(b, np.add.reduce(g, axis=-2))
+            _accumulate(x, (rows @ w.data.T).reshape(x.shape))
+        _accumulate(w, x.data.reshape(-1, k).T @ rows)
+        _accumulate(b, np.add.reduce(rows, axis=0))
 
     return _record(x.data @ w.data + b.data, (x, w, b), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row normalization to zero mean and unit variance (1e-5 added to
-    the variance), then affine.
-
-    The backward adds into ``x`` twice, first the centring's share and then
-    the mean's, as the chain of primitive kernels it replaces does.
-    """
+    the variance), then affine."""
     if x.ndim < 2:
         raise ContractError(f"layer_norm expects rows of a matrix, got {x.shape}")
     d = x.shape[-1]
@@ -590,11 +544,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         g_normed = g * gain.data
         g_centered = g_normed / std[..., None]
         g_std = np.add.reduce(-g_normed * centered / (std * std)[..., None], axis=-1)
-        g_sq = (g_std * 0.5 / std / d)[..., None] * centered
-        g_centered += g_sq  # centered * centered: one addition per factor
-        g_centered += g_sq
-        _accumulate(x, g_centered)
-        _accumulate(x, np.broadcast_to((np.add.reduce(-g_centered, axis=-1) / d)[..., None], x.shape))
+        g_centered += (g_std / std / d)[..., None] * centered
+        _accumulate(x, g_centered - (np.add.reduce(g_centered, axis=-1) / d)[..., None])
 
     return _record(normed * gain.data + bias.data, (x, gain, bias), backward)
 
@@ -639,10 +590,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             gs = w * (gw - np.add.reduce(gw * w, axis=-1, keepdims=True)) * c
             gq[..., sl] = gs @ kht.swapaxes(-1, -2)
             gk[..., sl] = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
-        if heads > 1:  # the per-head scatter summed zero blocks in: -0.0 -> +0.0
-            gq += 0.0
-            gk += 0.0
-            gv += 0.0
         _accumulate(q, gq)
         _accumulate(k, gk)
         _accumulate(v, gv)
@@ -664,11 +611,11 @@ def gru(x: Tensor, spans, h: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
     bxr + h Whr + bhr), candidate c = tanh(x_t Wxc + bxc + (r*h) Whc + bhc),
     h <- (1-u)*h + u*c.
 
-    Each chain gives the bits of one primitive step per row slice (rules 1
-    and 2 of the module docstring): every (1, d) row product is made in a
-    stack of (1, d) rows, in the forward and in the ``x`` and ``h``
-    gradients, and each weight and bias gets one chain per sample, in
-    sample order, its steps' contributions in reverse step order.
+    The forward gives each chain the bits of one primitive step per row
+    slice: every (1, d) row product is made in a stack of (1, d) rows. The
+    backward makes two products per step over the chains still running,
+    one for the candidate and one that sends both gates into the state;
+    the ``x`` gradient and each weight's are one product over every row.
     The chains run in lockstep, the longest first, so that the chains still
     running at a step are the first ones.
     """
@@ -723,19 +670,22 @@ def gru(x: Tensor, spans, h: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
             np.multiply(r_m[t], ht, out=rh_t)
             np.tanh(xc_m[t] + (rh_t @ w_c + b_c), out=c_t)
             np.add((1.0 - u_t) * ht, u_t * c_t, out=h_m[t + 1])
-    u, r = ur[:, :, 0], ur[:, :, 1]
-    keep = 1.0 - u
     last = hs[steps, at].reshape(batch + (1, d))
+    # the backward reads each step's rows of the running chains as (m, d) matrices
+    rows, hs, rh, cand = (a[..., 0, :] for a in (rows, hs, rh, cand))
+    u, r = ur[..., 0, 0, :], ur[..., 1, 0, :]
+    keep = 1.0 - u
 
     def backward(g):
-        w_ru_t = np.stack([whr.data, whu.data]).transpose(0, 2, 1)  # whr.T, whu.T
+        w_ru = np.concatenate([whr.data.T, whu.data.T])  # the reset gate's rows, then the update gate's
         whc_t = whc.data.T
         d_cand = 1.0 - cand * cand
         d_r = 1.0 - r
-        g_out = g.reshape(n, 1, d)[order]
-        g_run = np.empty((n, 1, d))  # each running chain's grad of its state
-        # grads of the reset, update and candidate pre-activations
-        g_pre = np.zeros((longest, n, 3, 1, d))
+        g_out = g.reshape(n, d)[order]
+        g_run = np.empty((n, d))  # each running chain's grad of its state
+        # grads of the reset, update and candidate pre-activations; zero
+        # where a chain does not run
+        g_pre = np.zeros((longest, n, 3, d))
         joined = 0
         for m, run in itertools.groupby(range(longest - 1, -1, -1), running.__getitem__):
             g_run[joined:m] = g_out[joined:m]  # chains whose last step is this run's first start here
@@ -746,42 +696,32 @@ def gru(x: Tensor, spans, h: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
             )
             for t in run:
                 ht, u_t, r_t, keep_t, g_t = h_m[t], u_m[t], r_m[t], keep_m[t], gp_m[t]
-                np.multiply((gt * c_m[t] - gt * ht) * u_t, keep_t, out=g_t[..., 1, :, :])
-                np.multiply(gt * u_t, dc_m[t], out=g_t[..., 2, :, :])
-                g_rh = g_t[..., 2, :, :] @ whc_t
-                np.multiply(g_rh * ht * r_t, dr_m[t], out=g_t[..., 0, :, :])
+                np.multiply((gt * c_m[t] - gt * ht) * u_t, keep_t, out=g_t[:, 1])
+                np.multiply(gt * u_t, dc_m[t], out=g_t[:, 2])
+                g_rh = g_t[:, 2] @ whc_t
+                np.multiply(g_rh * ht * r_t, dr_m[t], out=g_t[:, 0])
                 if t == 0 and not h.requires_grad:  # mr2hd's zero start
                     break
-                # into the state: keep, r*h, reset, update
-                reset_update = g_t[..., :2, :, :] @ w_ru_t
-                shares = (gt * keep_t, g_rh * r_t, reset_update[..., 0, :, :], reset_update[..., 1, :, :])
-                if t == 0:
-                    for share in shares:
-                        _accumulate(h, share.reshape(n, 1, d)[at].reshape(h.shape))
-                else:
-                    gt = shares[0]
-                    for share in shares[1:]:
-                        gt += share
-            g_run[:m] = gt.reshape(m, 1, d)
-        g_r, g_u, g_c = g_pre[:, :, 0], g_pre[:, :, 1], g_pre[:, :, 2]
+                # into the state: keep, r*h, and both gates in one product
+                gt = gt * keep_t + g_rh * r_t + g_t[:, :2].reshape(m, 2 * d) @ w_ru
+            g_run[:m] = gt
+        if h.requires_grad:
+            _accumulate(h, g_run[at].reshape(h.shape))
+        g_r, g_u, g_c = (g_pre[:, :, j].reshape(-1, d) for j in range(3))
         if x.requires_grad:
-            # per row: the candidate's share, then the reset gate's, then the update gate's
-            gx = g_c @ wxc.data.T
-            gx += g_r @ wxr.data.T
-            gx += g_u @ wxu.data.T
-            gx[:, [steps[i] > 1 for i in order]] += 0.0  # the per-step row scatters summed zero rows in: -0.0 -> +0.0
+            w_x = np.concatenate([wxr.data.T, wxu.data.T, wxc.data.T])
+            gx = (g_pre.reshape(-1, 3 * d) @ w_x).reshape(longest, n, d_in)
             z = np.zeros((n, length, d_in))
             for i, (start, stop) in enumerate(bounds):
-                z[i, start:stop] = gx[: steps[i], at[i], 0]
+                z[i, start:stop] = gx[: steps[i], at[i]]
             _accumulate(x, z.reshape(x.shape))
+        # every lockstep row at once: a padded row's zero grad adds nothing
         for w, b, inp, g_w in (
-            (wxu, bxu, rows, g_u), (whu, bhu, hs, g_u),
-            (wxr, bxr, rows, g_r), (whr, bhr, hs, g_r),
+            (wxu, bxu, rows, g_u), (whu, bhu, hs[:-1], g_u),
+            (wxr, bxr, rows, g_r), (whr, bhr, hs[:-1], g_r),
             (wxc, bxc, rows, g_c), (whc, bhc, rh, g_c),
         ):
-            # each sample's steps in reverse order; W's as its outer products' factors
-            backwards = [(slice(steps[i] - 1, None, -1), at[i], 0) for i in range(n)]
-            _add_in_order(w, [(inp[rev], g_w[rev]) for rev in backwards])
-            _add_in_order(b, [g_w[rev] for rev in backwards])
+            _accumulate(w, inp.reshape(-1, w.shape[0]).T @ g_w)
+            _accumulate(b, np.add.reduce(g_w, axis=0))
 
     return _record(last, (x, h, *weights), backward)

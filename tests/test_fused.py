@@ -1,11 +1,14 @@
 """Fused kernels against the primitive compositions they replace.
 
 Each reference below is the chain of primitive kernels the model ran before
-the fused kernel took its place. The fused graph must give the same bits:
-the same outputs, and every gradient byte-equal, because the backward walk
-must add each tensor's contributions in the same order. The references take
-leading sample axes as the kernels do; a bias or gain added to every row by
-broadcasting gets the sum over rows that ``broadcast_rows`` gave it.
+the fused kernel took its place. A fused forward must give the same bits,
+the composition's outputs byte for byte, and a stack the bits of each of its
+samples. A fused backward is the gradient of the op itself, its products
+made over whole stacks, so it sums in another order than the composition:
+every gradient must agree within 1e-12 of its own largest entry. The
+references take leading sample axes as the kernels do; a bias or gain added
+to every row by broadcasting gets the sum over rows that ``broadcast_rows``
+gave it.
 """
 
 import math
@@ -76,7 +79,7 @@ def _leaves(arrays: dict) -> dict:
 
 def _run(build, arrays: dict, seed: int = 0):
     """Forward ``build`` over fresh leaves, backward a random projection of
-    its output, and return the output and every leaf's grad as bytes."""
+    its output, and return the output as bytes and every leaf's grad."""
     leaves = _leaves(arrays)
     out = build(leaves)
     proj = Tensor(np.random.default_rng(seed).standard_normal(out.shape))
@@ -84,15 +87,36 @@ def _run(build, arrays: dict, seed: int = 0):
     grads = {}
     for name, leaf in leaves.items():
         assert leaf.grad is not None, name
-        grads[name] = leaf.grad.tobytes()
+        grads[name] = leaf.grad
     return out.data.tobytes(), grads
 
 
+def _exactly_zero(name: str) -> bool:
+    """A parameter whose exact gradient is zero: the attention key biases
+    (softmax is shift-invariant), and the biases of the two highlight
+    scores, which reach the losses only through softmax and score
+    differences. Their computed gradients are rounding residue, which
+    another summation order moves by its own size."""
+    return name.endswith(".k.b") or name in ("highlight.b", "refine_out.b")
+
+
+def _assert_grads_close(got: dict, want: dict):
+    """Every gradient within 1e-12 of its own largest entry; an exactly
+    zero one within 1e-12 of the largest entry of them all."""
+    assert got.keys() == want.keys()
+    top = max((np.max(np.abs(g)) for g in want.values()), default=0.0)
+    far = sorted(
+        name for name in got
+        if np.max(np.abs(got[name] - want[name]))
+        > 1e-12 * (top if _exactly_zero(name) else np.max(np.abs(want[name])))
+    )
+    assert not far, f"grads differ past 1e-12: {far}"
+
+
 def _assert_same(fused, reference):
+    """Outputs byte for byte, gradients within 1e-12."""
     assert fused[0] == reference[0], "outputs differ"
-    assert fused[1].keys() == reference[1].keys()
-    differ = sorted(name for name in fused[1] if fused[1][name] != reference[1][name])
-    assert not differ, f"grads differ: {differ}"
+    _assert_grads_close(fused[1], reference[1])
 
 
 def _gru_params(rng, d):
@@ -107,9 +131,8 @@ def _gru_params(rng, d):
 @pytest.mark.parametrize("start", ["zero", "trained"])
 def test_gru_chain_matches_primitive_steps_on_row_blocks(rows, start):
     """One chain over a block of rows, from a zero state or from a state
-    that requires grad and also feeds a consumer made after the chain.
-    Byte equality of every grad covers its signed zeros; some inputs are
-    zeros of either sign."""
+    that requires grad and also feeds a consumer made after the chain. Some
+    inputs are zeros of either sign."""
     d = 8
     rng = np.random.default_rng(rows)
     arrays = _gru_params(rng, d)
@@ -270,7 +293,7 @@ def _batch_grads(d_v=10, d_t=6):
     parts = [trainer.forward(s, b, params, config, "train").parts for s, b in ds.samples]
     total, breakdown = trainer.batch_total(parts, config)
     total.backward()
-    return breakdown, {name: p.grad.tobytes() for name, p in params.items()}
+    return breakdown, {name: p.grad for name, p in params.items()}
 
 
 def test_training_step_matches_primitive_model(monkeypatch):
@@ -282,8 +305,7 @@ def test_training_step_matches_primitive_model(monkeypatch):
     monkeypatch.setattr(C, "gru_cell", ref_gru_cell)
     reference = _batch_grads()
     assert fused[0] == reference[0]
-    differ = sorted(name for name in fused[1] if fused[1][name] != reference[1][name])
-    assert fused[1].keys() == reference[1].keys() and not differ, differ
+    _assert_grads_close(fused[1], reference[1])
 
 
 def test_fused_kernels_record_one_node_each(monkeypatch):
@@ -316,7 +338,7 @@ def test_fused_kernels_record_one_node_each(monkeypatch):
 def _stacked_and_slices(op, stacked: dict, shared: dict, seed: int = 0):
     """``op(inputs, params, sample)`` once on the (b, ...) stacks (``sample``
     None) and once per sample on its slices, each its own graph. Returns,
-    for each run, the output and the stacked inputs' grads as bytes, the
+    for each run, the output as bytes, the stacked inputs' grads, the
     per-sample ones stacked back in sample order, and the shared params'
     grads."""
     b = len(next(iter(stacked.values())))
@@ -328,7 +350,7 @@ def _stacked_and_slices(op, stacked: dict, shared: dict, seed: int = 0):
     out = op(leaves, params, None)
     T.tsum(T.mul(out, Tensor(proj(out.shape)))).backward()
     together = (
-        out.data.tobytes(), {n: t.grad.tobytes() for n, t in leaves.items()},
+        out.data.tobytes(), {n: t.grad for n, t in leaves.items()},
         {n: t.grad for n, t in params.items()},
     )
 
@@ -342,27 +364,18 @@ def _stacked_and_slices(op, stacked: dict, shared: dict, seed: int = 0):
     total.backward()
     apart = (
         np.stack([o.data for o in outs]).tobytes(),
-        {n: np.stack([s[n].grad for s in per_sample]).tobytes() for n in stacked},
+        {n: np.stack([s[n].grad for s in per_sample]) for n in stacked},
         {n: t.grad for n, t in params.items()},
     )
     return together, apart
 
 
-def _assert_shared_close(got: dict, want: dict):
-    """A stack sums a shared param's per-sample gradients in another order
-    than separate graphs add them: equal up to 1e-12 of its largest entry."""
-    assert got.keys() == want.keys()
-    far = sorted(
-        name for name in got
-        if np.max(np.abs(got[name] - want[name])) > 1e-12 * np.max(np.abs(want[name]))
-    )
-    assert not far, f"shared grads differ past 1e-12: {far}"
-
-
 def _assert_stack_matches(op, stacked, shared):
+    """Outputs byte for byte; the per-sample inputs' grads and the shared
+    params' grads, which a stack sums over its samples, within 1e-12."""
     together, apart = _stacked_and_slices(op, stacked, shared)
     _assert_same(together[:2], apart[:2])
-    _assert_shared_close(together[2], apart[2])
+    _assert_grads_close(together[2], apart[2])
 
 
 @pytest.mark.parametrize("rows", [1, 6, 75])
@@ -467,8 +480,8 @@ def _mixed_step(build_parts):
 def test_batched_step_matches_one_sample_graphs():
     """Groups of stacked samples against one graph per sample: the loss
     breakdown byte for byte, and every parameter gradient within 1e-12 of
-    its largest entry (a stack sums its samples' shares of a parameter's
-    gradient before adding them in)."""
+    its largest entry, an exactly zero one of the step's (a stack sums its
+    samples' shares of a parameter's gradient before adding them in)."""
     batch = _mixed_batch()
     seed = 3
     parts, breakdown, grads = _mixed_step(
@@ -481,7 +494,7 @@ def test_batched_step_matches_one_sample_graphs():
         ]
     )
     assert breakdown == want_breakdown
-    _assert_shared_close(grads, want_grads)
+    _assert_grads_close(grads, want_grads)
 
 
 def test_batched_predictions_match_one_sample_forwards():

@@ -23,8 +23,8 @@ def test_table_has_a_row_of_hashes_per_workload(capsys):
     assert output_hashes.main(["--seed", "3", "--workload", "train-overfit"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"seed 3, BLAS core \S+", lines[0])
-    assert lines[1] == "| workload | params | adam_m | adam_v | breakdown | predict |"
-    assert len(lines) == 5 and re.fullmatch(r"\| train-overfit( \| [0-9a-f]{16}){5} \|", lines[3])
+    assert lines[1] == "| workload | init | params | adam_m | adam_v | breakdown | predict |"
+    assert len(lines) == 5 and re.fullmatch(r"\| train-overfit( \| [0-9a-f]{16}){6} \|", lines[3])
     assert re.fullmatch(r"gradcheck [0-9a-f]{16}", lines[4])
 
 

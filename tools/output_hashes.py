@@ -7,8 +7,10 @@ first batch from the seed, runs ``trainer.train`` on it with the workload's
 config, and hashes the trained params, Adam's first and second moments, the
 ``repr`` of ``trainer.dataset_breakdown`` on that batch, and the records of
 ``trainer.predict``: on the held-out queries for a predict workload, on the
-batch otherwise. Two trees whose tables are equal produce the same bits;
-one changed cell names the first stage whose output moved.
+batch otherwise. The ``init`` column hashes that breakdown and those records
+at the initial parameters, before any step, so a change to the backward
+pass alone shows there as equal. Two trees whose tables are equal produce
+the same bits; one changed cell names the first stage whose output moved.
 
 A last line hashes the JSON report of ``mrhd gradcheck --seed N`` (the
 kernel suite over seeds N to N+2 plus the end-to-end probe at N), so the
@@ -40,7 +42,7 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from mrhd import gradcheck, trainer  # noqa: E402
 
-COLUMNS = ("params", "adam_m", "adam_v", "breakdown", "predict")
+COLUMNS = ("init", "params", "adam_m", "adam_v", "breakdown", "predict")
 
 
 def _digest(chunks) -> str:
@@ -71,15 +73,24 @@ def row(w: workloads.Workload, seed: int) -> dict[str, str]:
     """The hashes of one workload shape at ``seed``."""
     config = w.train_config()
     batch = workloads.make_videos(w, 1, seed, 0)
-    ckpt = trainer.train(config, batch)
     queries = workloads.make_videos(w, w.heldout_batches, seed, 1) if w.heldout_batches else batch
-    records = trainer.predict(ckpt, queries)
+
+    def outputs(ckpt: trainer.Checkpoint) -> tuple[bytes, bytes]:
+        breakdown = trainer.dataset_breakdown(ckpt.params, config, batch)
+        return repr(breakdown).encode(), json.dumps(trainer.predict(ckpt, queries)).encode()
+
+    # the parameters ``train`` starts from: its generator's first draws
+    params = trainer.init_model(np.random.default_rng(config.seed), *trainer.feature_dims(batch), config)
+    init = outputs(trainer.Checkpoint(params=params, config=config, step=0, adam_m={}, adam_v={}))
+    ckpt = trainer.train(config, batch)
+    breakdown, records = outputs(ckpt)
     return {
+        "init": _digest(init),
         "params": _arrays_digest({name: p.data for name, p in ckpt.params.items()}),
         "adam_m": _arrays_digest(ckpt.adam_m),
         "adam_v": _arrays_digest(ckpt.adam_v),
-        "breakdown": _digest([repr(trainer.dataset_breakdown(ckpt.params, config, batch)).encode()]),
-        "predict": _digest([json.dumps(records).encode()]),
+        "breakdown": _digest([breakdown]),
+        "predict": _digest([records]),
     }
 
 
