@@ -34,6 +34,7 @@ from .tensor import Tensor
 log = logging.getLogger(__name__)
 
 GRAD_CLIP_NORM = 0.1
+_CHUNK = 16384  # floats an Adam step updates per pass; its scratch fits in cache
 _CKPT_MAGIC = b"MRHDCKP1"
 _ARRAY_KINDS = ("param", "adam_m", "adam_v")
 
@@ -358,18 +359,19 @@ def zero_grad(params: dict[str, Tensor]) -> None:
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+    """Scale all gradients in place so their global L2 norm is at most
+    max_norm. The squared norm is summed one gradient at a time, in sorted
+    name order; one sum over all of them would round differently."""
+    grads = [params[name].grad for name in sorted(params)]
+    grads = [g for g in grads if g is not None]
     total = 0.0
-    for name in sorted(params):
-        g = params[name].grad
-        if g is not None:
-            total += float(np.sum(g * g))
+    for g in grads:
+        total += float(np.add.reduce(g * g, axis=None))
     norm = math.sqrt(total)
     if norm > max_norm > 0:
         factor = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad = p.grad * factor
+        for g in grads:
+            np.multiply(g, factor, out=g)
     return norm
 
 
@@ -391,28 +393,71 @@ def learning_rate_at(step: int, total_steps: int, base: float) -> float:
 
 
 class Adam:
-    """Plain Adam with bias correction; moments keyed like the params."""
+    """Plain Adam with bias correction, over flat buffers.
+
+    The params, in sorted name order, are laid end to end in one float64
+    buffer, and each ``p.data`` becomes a C-contiguous view of its stretch;
+    the moments ``m`` and ``v`` are two buffers of the same layout, kept as
+    dicts of per-name views keyed like the params. ``step`` expects the
+    params it was built on, their data still those views, and updates all
+    three buffers in place, ``_CHUNK`` floats at a time. Every element goes
+    through the same operations in the same order as a per-parameter
+    update, so the bits are those of one.
+    """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params: dict[str, Tensor], learning_rate: float):
         self.learning_rate = learning_rate
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self._names = sorted(params)
+        self._p = np.concatenate([params[k].data for k in self._names], axis=None)
+        self._m = np.zeros_like(self._p)
+        self._v = np.zeros_like(self._p)
+        self._scratch = np.empty((2, min(_CHUNK, self._p.size)))
+        self.m, self.v = {}, {}
+        start = 0
+        for name in self._names:
+            p = params[name]
+            end = start + p.data.size
+            shape = p.data.shape
+            p.data = self._p[start:end].reshape(shape)
+            self.m[name] = self._m[start:end].reshape(shape)
+            self.v[name] = self._v[start:end].reshape(shape)
+            start = end
 
     def step(self, params: dict[str, Tensor]) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for name in sorted(params):
-            p = params[name]
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            p.data = p.data - self.learning_rate * (self.m[name] / bc1) / (
-                np.sqrt(self.v[name] / bc2) + self.eps
-            )
+        lr, beta1, beta2, eps = self.learning_rate, self.beta1, self.beta2, self.eps
+        ps = [params[name] for name in self._names]
+        grads = np.concatenate(
+            [np.zeros(p.data.size) if p.grad is None else p.grad for p in ps], axis=None
+        )
+        if grads.size != self._p.size:
+            raise T.ContractError(f"{grads.size} gradient entries for {self._p.size} parameters")
+        for start in range(0, grads.size, _CHUNK):
+            chunk = slice(start, start + _CHUNK)
+            g, m, v, p = grads[chunk], self._m[chunk], self._v[chunk], self._p[chunk]
+            a, b = self._scratch[:, : g.size]
+            # m = beta1 * m + (1 - beta1) * g
+            np.multiply(m, beta1, out=m)
+            np.multiply(g, 1.0 - beta1, out=a)
+            np.add(m, a, out=m)
+            # v = beta2 * v + (1 - beta2) * g * g
+            np.multiply(v, beta2, out=v)
+            np.multiply(g, 1.0 - beta2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            # p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(m, bc1, out=a)
+            np.multiply(a, lr, out=a)
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, eps, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(p, a, out=p)
 
 
 # ---------------------------------------------------------------------------

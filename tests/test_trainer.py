@@ -266,6 +266,82 @@ def test_adam_first_step_matches_hand_update():
     assert abs(p["w"].data[0] - want) < 1e-12
 
 
+def test_clip_scales_in_place_to_the_bytes_of_a_product():
+    rng = np.random.default_rng(3)
+    shapes = {"b": (5, 4), "a": (3,), "c": (1,), "e": (7, 9), "d": (2, 2)}
+    p = {k: Tensor(np.zeros(s), requires_grad=True) for k, s in shapes.items()}
+    for k in ("a", "b", "c", "e"):
+        # magnitudes spread so that another summation order rounds differently
+        p[k].grad = rng.standard_normal(shapes[k]) * 10.0 ** rng.integers(-4, 4, shapes[k])
+    before = {k: p[k].grad.copy() for k in ("a", "b", "c", "e")}
+    buffers = {k: p[k].grad for k in before}
+    # the norm as a sum of per-gradient squared sums, in sorted name order
+    want = math.sqrt(sum(float(np.sum(before[k] * before[k])) for k in sorted(before)))
+    norm = trainer.clip_gradients(p, 0.1)
+    assert norm == want
+    assert p["d"].grad is None
+    for k, g in before.items():
+        assert p[k].grad is buffers[k]
+        assert p[k].grad.tobytes() == (g * (0.1 / want)).tobytes()
+
+
+def test_adam_keeps_params_and_keys_moments_like_them():
+    rng = np.random.default_rng(4)
+    shapes = {"w": (5, 4), "b": (3,), "s": (1,), "big": (trainer._CHUNK + 7,)}
+    p = {k: Tensor(rng.standard_normal(s), requires_grad=True) for k, s in shapes.items()}
+    before = {k: t.data.copy() for k, t in p.items()}
+    opt = trainer.Adam(p, learning_rate=1e-3)
+    for k, want in before.items():
+        assert p[k].data.shape == want.shape and p[k].data.flags.c_contiguous
+        assert p[k].data.tobytes() == want.tobytes()
+        for moments in (opt.m, opt.v):
+            assert moments[k].shape == want.shape and not moments[k].any()
+    assert set(opt.m) == set(opt.v) == set(p)
+    p["w"].grad = np.zeros(4)  # one gradient of the wrong size would shift all the others
+    with pytest.raises(T.ContractError):
+        opt.step(p)
+
+
+def _reference_adam_step(opt_t, lr, data, m, v, grads):
+    """Adam's update one parameter at a time into fresh arrays, the
+    reference the flat step must match byte for byte; returns the new step
+    count."""
+    beta1, beta2, eps = trainer.Adam.beta1, trainer.Adam.beta2, trainer.Adam.eps
+    opt_t += 1
+    bc1 = 1.0 - beta1**opt_t
+    bc2 = 1.0 - beta2**opt_t
+    for name in sorted(data):
+        g = grads[name] if grads[name] is not None else np.zeros_like(data[name])
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+        data[name] = data[name] - lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+    return opt_t
+
+
+def test_adam_flat_step_equals_per_parameter_reference():
+    rng = np.random.default_rng(5)
+    shapes = {"w": (5, 4), "b": (3,), "s": (1,), "big": (trainer._CHUNK + 7,), "idle": (2, 3)}
+    p = {k: Tensor(rng.standard_normal(s), requires_grad=True) for k, s in shapes.items()}
+    data = {k: t.data.copy() for k, t in p.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    opt = trainer.Adam(p, learning_rate=0.0)
+    t = 0
+    for lr in (1e-3, 3e-2, 1e-4, 5e-3):
+        grads = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for k, s in shapes.items()}
+        grads["idle"] = None
+        for k, g in grads.items():
+            p[k].grad = None if g is None else g.copy()
+        opt.learning_rate = lr
+        opt.step(p)
+        t = _reference_adam_step(t, lr, data, m, v, grads)
+        for k in shapes:
+            assert p[k].data.tobytes() == data[k].tobytes(), k
+            assert opt.m[k].tobytes() == m[k].tobytes(), k
+            assert opt.v[k].tobytes() == v[k].tobytes(), k
+    assert opt.t == t
+
+
 def test_step_size_warms_up_then_drops_tenfold():
     base, total = 1e-3, 300
     sizes = [trainer.learning_rate_at(s, total, base) for s in range(total)]
