@@ -43,11 +43,19 @@ Four fused kernels stand in for the compositions the model runs most:
 a multi-head attention) and ``gru`` (every sample's GRU chain, one step
 per row, as one node). Each forward gives the bits of the primitive
 composition it replaces, on one sample and on each sample of a stack,
-because its operands keep the layouts and shapes the primitive kernels
-gave them: head slices copied to C order, the transposed key copied as
-``transpose`` did, each GRU step's (1, d) @ (d, d) product made over a
-stack of (1, d) rows, which numpy runs as one BLAS call per row (one
-(T, d) @ (d, d) product differs from the row products in the last bits).
+because each BLAS call it makes has the shapes and operand layouts of the
+primitive kernels' calls. ``attention`` runs its heads as one
+(..., heads, n, dh) stack whose every head matrix is C-ordered, as
+``slice_range`` gives a head's columns, against the transposed keys
+copied into a (..., heads, dh, m) stack as ``transpose`` copies them;
+numpy runs one BLAS call per (sample, head) matrix. Each GRU step's
+(1, d) row products are made over a stack of (1, d) rows, which numpy
+runs as one call per row (one (T, d) @ (d, d) product differs from the
+row products in the last bits). The reset and update gates' hidden sides
+are one (1, d) @ (d, 2d) product against ``[Whu | Whr]``: each output is
+the dot product the (d, d) call makes when d is a multiple of 4 (at
+other widths OpenBLAS's SkylakeX, Haswell and Nehalem kernels can differ
+from the two calls in the last bits).
 Each backward is the gradient of the fused op itself, its products made
 over whole stacks: it agrees with the composition's gradients to about
 1e-14 of their largest entry, not bit for bit. ``tests/test_fused.py``
@@ -146,23 +154,27 @@ def _walked(g) -> None:
 _counter = itertools.count(1)  # leaves and nodes without a closure keep 0
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     """Add one contribution into ``t.grad``, summed first over the leading
-    axes ``t`` lacks (a stack's samples, for a tensor they share)."""
+    axes ``t`` lacks (a stack's samples, for a tensor they share).
+
+    ``fresh`` says that ``g`` is a C-ordered buffer the calling closure made
+    and holds nowhere else, so a first contribution may become ``t.grad``
+    as it is."""
     if not t.requires_grad:
         return
     lead = g.ndim - t.ndim
     if lead:
         g = np.add.reduce(g, axis=tuple(range(lead)))
     if t.grad is None:
-        # The first contribution is copied, never aliased: ``g`` may be
-        # another node's gradient or a view that later ``+=`` must not
+        # Any other first contribution is copied, never aliased: ``g`` may
+        # be another node's gradient or a view that later ``+=`` must not
         # write through. The copy is C-ordered whatever ``g``'s layout (a
         # ``g.T`` is Fortran-ordered): a gradient that keeps a transposed
         # layout sends the matmuls that later read it down another BLAS
         # kernel, whose different summation order changes the trained
         # weights in the last bits.
-        t.grad = np.array(g, dtype=np.float64, order="C")
+        t.grad = g if fresh else np.array(g, dtype=np.float64, order="C")
     else:
         t.grad += g
 
@@ -230,8 +242,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = _broadcast(np.matmul, a, b, "matmul")
 
     def backward(g):
-        _accumulate(a, g @ b.data.swapaxes(-1, -2))
-        _accumulate(b, a.data.swapaxes(-1, -2) @ g)
+        _accumulate(a, g @ b.data.swapaxes(-1, -2), fresh=True)
+        _accumulate(b, a.data.swapaxes(-1, -2) @ g, fresh=True)
 
     return _record(out_data, (a, b), backward)
 
@@ -339,7 +351,7 @@ def tanh(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     def backward(g):
-        _accumulate(x, g * (x.data > 0.0))
+        _accumulate(x, g * (x.data > 0.0), fresh=True)
 
     return _record(np.maximum(x.data, 0.0), (x,), backward)
 
@@ -411,7 +423,7 @@ def tmean(x: Tensor, axis: int | None = None) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape)) != x.data.size:
+    if math.prod(shape) != x.data.size:
         raise ContractError(f"cannot reshape {x.shape} to {shape}")
 
     def backward(g):
@@ -514,11 +526,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         rows = g.reshape(-1, n)  # every sample's rows, one matrix
         if x.requires_grad:
-            _accumulate(x, (rows @ w.data.T).reshape(x.shape))
-        _accumulate(w, x.data.reshape(-1, k).T @ rows)
-        _accumulate(b, np.add.reduce(rows, axis=0))
+            _accumulate(x, (rows @ w.data.T).reshape(x.shape), fresh=True)
+        _accumulate(w, x.data.reshape(-1, k).T @ rows, fresh=True)
+        _accumulate(b, np.add.reduce(rows, axis=0), fresh=True)
 
-    return _record(x.data @ w.data + b.data, (x, w, b), backward)
+    out = x.data @ w.data
+    out += b.data  # in the product's own buffer: the bits of ``x @ w + b``
+    return _record(out, (x, w, b), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -537,15 +551,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     normed = centered / std[..., None]
 
     def backward(g):
-        _accumulate(gain, np.add.reduce(g * normed, axis=-2))
-        _accumulate(bias, np.add.reduce(g, axis=-2))
+        _accumulate(gain, np.add.reduce(g * normed, axis=-2), fresh=True)
+        _accumulate(bias, np.add.reduce(g, axis=-2), fresh=True)
         if not x.requires_grad:
             return
         g_normed = g * gain.data
         g_centered = g_normed / std[..., None]
         g_std = np.add.reduce(-g_normed * centered / (std * std)[..., None], axis=-1)
         g_centered += (g_std / std / d)[..., None] * centered
-        _accumulate(x, g_centered - (np.add.reduce(g_centered, axis=-1) / d)[..., None])
+        _accumulate(x, g_centered - (np.add.reduce(g_centered, axis=-1) / d)[..., None], fresh=True)
 
     return _record(normed * gain.data + bias.data, (x, gain, bias), backward)
 
@@ -569,30 +583,35 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         raise ContractError(f"attention width {d} is not divisible by {heads} heads")
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
-    cols = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
-    out = np.empty_like(q.data)
-    saved = []
-    for sl in cols:
-        qh, kh, vh = (m.data[..., sl].copy() for m in (q, k, v))
-        kht = np.ascontiguousarray(kh.swapaxes(-1, -2))
-        s = (qh @ kht) * c
-        e = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
-        w = e / np.add.reduce(e, axis=-1, keepdims=True)
-        out[..., sl] = w @ vh
-        saved.append((qh, kht, vh, w))
+
+    def split(a):  # (..., rows, d) -> (..., rows, heads, dh)
+        return a.reshape(a.shape[:-1] + (heads, dh))
+
+    def merge(a):  # (..., rows, heads, dh) -> (..., rows, d)
+        return a.reshape(a.shape[:-2] + (d,))
+
+    # every head's matrix C-ordered, as ``slice_range`` gives a head's columns
+    qs, vs = (np.ascontiguousarray(split(a.data).swapaxes(-3, -2)) for a in (q, v))
+    kt = np.ascontiguousarray(split(k.data).swapaxes(-3, -2).swapaxes(-1, -2))  # (..., heads, dh, m)
+    # the scores, then their softmax in place: one buffer of the stack's size
+    w = qs @ kt
+    w *= c
+    w -= np.maximum.reduce(w, axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
+    out = merge((w @ vs).swapaxes(-3, -2))
 
     def backward(g):
-        gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
-        for sl, (qh, kht, vh, w) in zip(cols, saved):
-            gh = np.ascontiguousarray(g[..., sl])
-            gw = gh @ vh.swapaxes(-1, -2)
-            gv[..., sl] = w.swapaxes(-1, -2) @ gh
-            gs = w * (gw - np.add.reduce(gw * w, axis=-1, keepdims=True)) * c
-            gq[..., sl] = gs @ kht.swapaxes(-1, -2)
-            gk[..., sl] = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
-        _accumulate(q, gq)
-        _accumulate(k, gk)
-        _accumulate(v, gv)
+        gh = np.ascontiguousarray(split(g).swapaxes(-3, -2))
+        gs = gh @ vs.swapaxes(-1, -2)  # the weights' gradient, then in place the scores'
+        gs -= np.add.reduce(gs * w, axis=-1, keepdims=True)
+        gs *= w
+        gs *= c
+        gkt = qs.swapaxes(-1, -2) @ gs  # (..., heads, dh, m)
+        _accumulate(q, merge((gs @ kt.swapaxes(-1, -2)).swapaxes(-3, -2)), fresh=True)
+        # copied first: merged as a view, it would keep the transposed layout
+        _accumulate(k, merge(np.ascontiguousarray(gkt.swapaxes(-1, -2).swapaxes(-3, -2))), fresh=True)
+        _accumulate(v, merge((w.swapaxes(-1, -2) @ gh).swapaxes(-3, -2)), fresh=True)
 
     return _record(out, (q, k, v), backward)
 
@@ -612,7 +631,9 @@ def gru(x: Tensor, spans, h: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
     h <- (1-u)*h + u*c.
 
     The forward gives each chain the bits of one primitive step per row
-    slice: every (1, d) row product is made in a stack of (1, d) rows. The
+    slice (for d a multiple of 4; see the module docstring): every (1, d)
+    row product is made in a stack of (1, d) rows, the two gates' hidden
+    sides as one product against ``[Whu | Whr]``. The
     backward makes two products per step over the chains still running,
     one for the candidate and one that sends both gates into the state;
     the ``x`` gradient and each weight's are one product over every row.
@@ -652,7 +673,7 @@ def gru(x: Tensor, spans, h: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
     # rows makes each row's product as its own call would.
     x_ur = np.stack([rows @ wxu.data + bxu.data, rows @ wxr.data + bxr.data], axis=2)
     x_c = rows @ wxc.data + bxc.data
-    w_ur = np.stack([whu.data, whr.data])
+    w_ur = np.concatenate([whu.data, whr.data], axis=1)  # [Whu | Whr]
     # (1, 2, 1, d), the shape of one chain's gates: a lone chain adds it unbroadcast
     b_ur = np.stack([bhu.data, bhr.data])[None, :, None, :]
     hs = np.zeros((longest + 1, n, 1, d))  # hs[t, k] is chain k's state before its row t
@@ -663,10 +684,10 @@ def gru(x: Tensor, spans, h: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
     for m, run in itertools.groupby(range(longest), running.__getitem__):
         h_m, ur_m, rh_m, c_m, xur_m, xc_m = (a[:, :m] for a in (hs, ur, rh, cand, x_ur, x_c))
         u_m, r_m = ur_m[..., 0, :, :], ur_m[..., 1, :, :]
-        hq_m = h_m[:, :, None]  # each state a stack of one row against both gates
         for t in run:
-            ht, hq_t, u_t, rh_t, c_t = h_m[t], hq_m[t], u_m[t], rh_m[t], c_m[t]
-            np.divide(1.0, 1.0 + np.exp(-(xur_m[t] + (hq_t @ w_ur + b_ur))), out=ur_m[t])
+            ht, u_t, rh_t, c_t = h_m[t], u_m[t], rh_m[t], c_m[t]
+            hur = (ht @ w_ur).reshape(m, 2, 1, d)  # both gates' hidden sides, one product
+            np.divide(1.0, 1.0 + np.exp(-(xur_m[t] + (hur + b_ur))), out=ur_m[t])
             np.multiply(r_m[t], ht, out=rh_t)
             np.tanh(xc_m[t] + (rh_t @ w_c + b_c), out=c_t)
             np.add((1.0 - u_t) * ht, u_t * c_t, out=h_m[t + 1])
@@ -706,7 +727,7 @@ def gru(x: Tensor, spans, h: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
                 gt = gt * keep_t + g_rh * r_t + g_t[:, :2].reshape(m, 2 * d) @ w_ru
             g_run[:m] = gt
         if h.requires_grad:
-            _accumulate(h, g_run[at].reshape(h.shape))
+            _accumulate(h, g_run[at].reshape(h.shape), fresh=True)
         g_r, g_u, g_c = (g_pre[:, :, j].reshape(-1, d) for j in range(3))
         if x.requires_grad:
             w_x = np.concatenate([wxr.data.T, wxu.data.T, wxc.data.T])
@@ -714,14 +735,14 @@ def gru(x: Tensor, spans, h: Tensor, weights: tuple[Tensor, ...]) -> Tensor:
             z = np.zeros((n, length, d_in))
             for i, (start, stop) in enumerate(bounds):
                 z[i, start:stop] = gx[: steps[i], at[i]]
-            _accumulate(x, z.reshape(x.shape))
+            _accumulate(x, z.reshape(x.shape), fresh=True)
         # every lockstep row at once: a padded row's zero grad adds nothing
         for w, b, inp, g_w in (
             (wxu, bxu, rows, g_u), (whu, bhu, hs[:-1], g_u),
             (wxr, bxr, rows, g_r), (whr, bhr, hs[:-1], g_r),
             (wxc, bxc, rows, g_c), (whc, bhc, rh, g_c),
         ):
-            _accumulate(w, inp.reshape(-1, w.shape[0]).T @ g_w)
-            _accumulate(b, np.add.reduce(g_w, axis=0))
+            _accumulate(w, inp.reshape(-1, w.shape[0]).T @ g_w, fresh=True)
+            _accumulate(b, np.add.reduce(g_w, axis=0), fresh=True)
 
     return _record(last, (x, h, *weights), backward)

@@ -2,12 +2,18 @@
 
 import hashlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from mrhd import cli
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "output_hashes.py"
+_ROOT = Path(__file__).resolve().parent.parent
+_PATH = _ROOT / "tools" / "output_hashes.py"
 _spec = importlib.util.spec_from_file_location("output_hashes", _PATH)
 output_hashes = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(output_hashes)
@@ -39,3 +45,23 @@ def test_rows_repeat_for_a_seed_and_move_with_it():
     assert output_hashes.row(TINY, 0) == first
     other = output_hashes.row(TINY, 1)
     assert all(other[c] != first[c] for c in output_hashes.COLUMNS)
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Nehalem"])
+def test_fused_kernels_keep_their_bits_under_another_blas_core(core):
+    """``tests/test_fused.py`` in a process whose OpenBLAS runs ``core``'s
+    kernels: the fused forwards give the primitive compositions' bits on
+    that core's BLAS calls too. Skipped where the core does not switch."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=core)
+    probe = (
+        "import importlib.util as u; s = u.spec_from_file_location('h', %r);"
+        " m = u.module_from_spec(s); s.loader.exec_module(m); print(m.blas_core())" % str(_PATH)
+    )
+    runs = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    if runs.stdout.strip() != core:
+        pytest.skip(f"OPENBLAS_CORETYPE={core} runs {runs.stdout.strip()} kernels here")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_fused.py"],
+        cwd=_ROOT, env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout[-3000:] + result.stderr[-2000:]

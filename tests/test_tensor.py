@@ -1,6 +1,7 @@
 """Engine-level tests: kernel gradients, graph mechanics, error paths."""
 
 import inspect
+import itertools
 import sys
 import weakref
 
@@ -185,10 +186,11 @@ def test_layer_norm_affine_params_receive_grads():
     assert np.allclose(b.grad, 4.0)  # bias grad of a plain sum is the row count
 
 
-def _zeros_then_add(t, g):
+def _zeros_then_add(t, g, fresh=False):
     """Gradient accumulation as a zero buffer plus every contribution: the
-    reference the copy-on-first-contribution engine must equal. A one-sample
-    graph hands a parameter a stack of one contribution."""
+    reference the copy-on-first-contribution engine must equal, whether or
+    not a closure hands over its own buffer. A one-sample graph hands a
+    parameter a stack of one contribution."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -246,6 +248,32 @@ def test_every_grad_is_c_contiguous_float64_of_its_shape(monkeypatch):
     monkeypatch.setattr(T, "_record", checking_record)
     _tiny_batch_backward()
     assert len(checked) > 100
+
+
+def test_batched_step_leaves_every_param_its_own_grad_buffer():
+    """A closure hands its own product buffers over as first contributions,
+    uncopied: after a stacked step over a mixed-length batch no two
+    parameters' gradients share memory, and each is C-ordered."""
+    # seed 2 gives both 7-clip videos 16 saliency pairs, so they share a stack
+    batch = [
+        sample
+        for clips, count in ((7, 2), (12, 1))
+        for sample in synth_generate(
+            SynthConfig(num_samples=count, num_clips=clips, d_v=10, d_t=6), 2
+        ).samples
+    ]
+    config = trainer.TrainConfig(seed=0, d=8, num_queries=3, decoder_layers=2, heads=2)
+    params = trainer.init_model(np.random.default_rng(0), 10, 6, config)
+    _, parts = trainer.forward_batch(batch, params, config, "train", 0)
+    assert sorted(p.rows for p in parts) == [(0, 1), (2,)]  # a stack of two and one of one
+    trainer.batch_total(parts, config)[0].backward()
+    grads = [(name, p.grad) for name, p in sorted(params.items())]
+    for name, g in grads:
+        assert g is not None and g.flags.c_contiguous and g.shape == params[name].shape, name
+    shared = [
+        (a, b) for (a, ga), (b, gb) in itertools.combinations(grads, 2) if np.shares_memory(ga, gb)
+    ]
+    assert not shared, shared
 
 
 def test_backward_frees_every_intermediate_buffer(monkeypatch):
