@@ -119,11 +119,11 @@ def hd2mr(joint: Tensor, h: Tensor, params: dict, heads: int) -> Tensor:
 def moment_decoder(
     z_hat: Tensor, params: dict, heads: int, decoder_layers: int
 ) -> tuple[Tensor, Tensor]:
-    """(..., M, 2) normalized (center, width) spans and (..., M) foreground
-    scores; a batch of memories reads one copy of the queries per sample."""
-    q = params["decoder.queries"]
-    if z_hat.ndim > 2:
-        q = T.concat([T.reshape(q, (1,) + q.shape)] * z_hat.shape[0], axis=0)
+    """(b, M, 2) normalized (center, width) spans and (b, M) foreground
+    scores from a (b, L, d) stack of memories, each sample reading its own
+    copy of the queries."""
+    queries = params["decoder.queries"]
+    q = T.concat([T.reshape(queries, (1,) + queries.shape)] * z_hat.shape[0], axis=0)
     for k in range(decoder_layers):
         q = transformer_block(q, params, f"decoder.layer{k}", heads, memory=z_hat)
     center_width = T.sigmoid(linear(q, params, "decoder.span"))

@@ -156,7 +156,7 @@ def kernel_suite(seeds: range | list[int]) -> dict[str, float]:
         run("slice_cols", lambda ts: T.slice_range(ts[0], 1, 3, axis=1), [a])
         idx = rng.integers(0, m, size=5).tolist()
         run("gather_rows", lambda ts: T.gather_rows(ts[0], idx), [a])
-        run("broadcast_rows", lambda ts: T.broadcast_rows(ts[0], m), [v])
+        run("concat_broadcast", lambda ts: T.concat([ts[0], ts[1]], axis=1), [a, v])  # v joins every row
         gain = rng.standard_normal(k)
         bias = rng.standard_normal(k)
         run("layer_norm", lambda ts: T.layer_norm(ts[0], ts[1], ts[2]), [a, gain, bias])

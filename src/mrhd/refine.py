@@ -92,10 +92,9 @@ def fuse(v_hat: Tensor, t_hat: Tensor, f_v2q: Tensor, f_q2v: Tensor, params: dic
     """Five-block concat -> linear back to d.
 
     Blocks: clips, attended words, clip (x) attended-word product, clip (x)
-    routed-clip product, and the mean word vector replicated per clip.
+    routed-clip product, and the mean word vector broadcast to every clip.
     """
-    length = v_hat.shape[-2]
-    text_global = T.broadcast_rows(T.tmean(t_hat, axis=-2), length)
+    text_global = T.reshape(T.tmean(t_hat, axis=-2), t_hat.shape[:-2] + (1, t_hat.shape[-1]))
     stacked = T.concat(
         [v_hat, f_v2q, T.mul(v_hat, f_v2q), T.mul(v_hat, f_q2v), text_global],
         axis=-1,

@@ -10,11 +10,15 @@ scalar or array, becomes a (1,) array: no Tensor is 0-d) and, when some
 parent requires grad, attaches parents and closure and stamps the node
 with the next number of a counter.
 
-The primitive kernels are matmul, elementwise arithmetic under numpy's
-broadcasting rule, scalar affine ops, a few nonlinearities, axis
-reductions, concat, slicing along an axis, row gathering, transpose, and
-``broadcast_rows``, which tiles a vector into a real matrix for
-``concat``. There are no views; every op materializes a fresh buffer.
+The primitive kernels are matmul, elementwise arithmetic, scalar affine
+ops, a few nonlinearities, axis reductions, concat, slicing along an axis,
+row gathering and transpose. There are no views; every op materializes a
+fresh buffer. Kernels that combine shapes follow one broadcasting rule,
+numpy's (``concat`` broadcasts every axis but the one it joins), and their
+closures pass gradients at the output's shape: ``_accumulate`` alone sums
+each contribution back to its tensor's shape (``_unbroadcast``), so a
+tensor a stack's samples share, such as a parameter, gets its sum over the
+samples, added into its ``.grad`` like any other contribution.
 
 Batches. Every kernel treats the axes before its last one or two as a
 batch of independent samples, which is numpy's matmul and broadcasting
@@ -22,12 +26,9 @@ rule; shape checks look at the trailing axes only. A stacked forward
 result is byte-equal to the per-sample ones (each sample's matmul is its
 own BLAS call of the same shape, and each reduction runs along the same
 axis with the same length). Gradients are not: a fused backward (below)
-runs one product over every row of a stack, so a stack's per-sample
-input gradients agree with one graph per sample to a few ulps, not bit
-for bit. A tensor the samples share, such as a parameter, gets a stack's
-gradient summed over the leading axes it lacks, as numpy's broadcasting
-sums them (``np.add.reduce``), and the sum is added into its ``.grad``
-when it arrives, like any other contribution.
+runs one product over every row of a stack, and a shared tensor's sum
+over the samples adds in another order than one graph per sample, so
+they agree with one graph per sample to a few ulps, not bit for bit.
 
 ``backward`` runs the closures in reverse creation order. A node is
 created after its parents, so each gradient is complete before its closure
@@ -155,25 +156,22 @@ _counter = itertools.count(1)  # leaves and nodes without a closure keep 0
 
 
 def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
-    """Add one contribution into ``t.grad``, summed first over the leading
-    axes ``t`` lacks (a stack's samples, for a tensor they share).
+    """Add one contribution into ``t.grad``, first summed back to ``t``'s
+    shape where broadcasting stretched ``t``.
 
     ``fresh`` says that ``g`` is a C-ordered buffer the calling closure made
     and holds nowhere else, so a first contribution may become ``t.grad``
-    as it is."""
+    as it is; so is a sum made here, unless it kept a transposed layout."""
     if not t.requires_grad:
         return
-    lead = g.ndim - t.ndim
-    if lead:
-        g = np.add.reduce(g, axis=tuple(range(lead)))
+    if g.shape != t.shape:
+        g = _unbroadcast(g, t.shape)
+        fresh = g.flags.c_contiguous
     if t.grad is None:
-        # Any other first contribution is copied, never aliased: ``g`` may
-        # be another node's gradient or a view that later ``+=`` must not
-        # write through. The copy is C-ordered whatever ``g``'s layout (a
-        # ``g.T`` is Fortran-ordered): a gradient that keeps a transposed
-        # layout sends the matmuls that later read it down another BLAS
-        # kernel, whose different summation order changes the trained
-        # weights in the last bits.
+        # Any other first contribution is copied, C-ordered, never aliased:
+        # ``g`` may be another node's gradient or a view that later ``+=``
+        # must not write through, and a transposed layout would send the
+        # matmuls that read it down another BLAS kernel (other last bits).
         t.grad = g if fresh else np.array(g, dtype=np.float64, order="C")
     else:
         t.grad += g
@@ -222,8 +220,6 @@ def _broadcast(op, a: Tensor, b: Tensor, name: str) -> np.ndarray:
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` over the axes broadcasting stretched an operand of ``shape``
     along, giving it that shape back."""
-    if g.shape == shape:
-        return g
     lead = g.ndim - len(shape)
     if lead:
         g = np.add.reduce(g, axis=tuple(range(lead)))
@@ -265,16 +261,16 @@ def transpose(x: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        _accumulate(a, g)
+        _accumulate(b, g)
 
     return _record(_broadcast(np.add, a, b, "add"), (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
+        _accumulate(a, g)
+        _accumulate(b, -g, fresh=True)
 
     return _record(_broadcast(np.subtract, a, b, "sub"), (a, b), backward)
 
@@ -283,23 +279,23 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product."""
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        _accumulate(a, g * b.data, fresh=True)
+        _accumulate(b, g * a.data, fresh=True)
 
     return _record(_broadcast(np.multiply, a, b, "mul"), (a, b), backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        _accumulate(a, g / b.data, fresh=True)
+        _accumulate(b, -g * a.data / (b.data * b.data), fresh=True)
 
     return _record(_broadcast(np.divide, a, b, "div"), (a, b), backward)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     def backward(g):
-        _accumulate(x, g * c)
+        _accumulate(x, g * c, fresh=True)
 
     return _record(x.data * c, (x,), backward)
 
@@ -319,14 +315,14 @@ def exp(x: Tensor) -> Tensor:
     out_data = np.exp(x.data)
 
     def backward(g):
-        _accumulate(x, g * out_data)
+        _accumulate(x, g * out_data, fresh=True)
 
     return _record(out_data, (x,), backward)
 
 
 def log(x: Tensor) -> Tensor:
     def backward(g):
-        _accumulate(x, g / x.data)
+        _accumulate(x, g / x.data, fresh=True)
 
     return _record(np.log(x.data), (x,), backward)
 
@@ -335,7 +331,7 @@ def sqrt(x: Tensor) -> Tensor:
     out_data = np.sqrt(x.data)
 
     def backward(g):
-        _accumulate(x, g * 0.5 / out_data)
+        _accumulate(x, g * 0.5 / out_data, fresh=True)
 
     return _record(out_data, (x,), backward)
 
@@ -344,7 +340,7 @@ def tanh(x: Tensor) -> Tensor:
     out_data = np.tanh(x.data)
 
     def backward(g):
-        _accumulate(x, g * (1.0 - out_data * out_data))
+        _accumulate(x, g * (1.0 - out_data * out_data), fresh=True)
 
     return _record(out_data, (x,), backward)
 
@@ -361,7 +357,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out_data = 1.0 / (1.0 + np.exp(-x.data))
 
     def backward(g):
-        _accumulate(x, g * out_data * (1.0 - out_data))
+        _accumulate(x, g * out_data * (1.0 - out_data), fresh=True)
 
     return _record(out_data, (x,), backward)
 
@@ -371,7 +367,7 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     inside = (x.data > lo) & (x.data < hi)
 
     def backward(g):
-        _accumulate(x, g * inside)
+        _accumulate(x, g * inside, fresh=True)
 
     return _record(np.clip(x.data, lo, hi), (x,), backward)
 
@@ -385,7 +381,7 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 
     def backward(g):
         inner = np.add.reduce(g * out_data, axis=axis, keepdims=True)
-        _accumulate(x, out_data * (g - inner))
+        _accumulate(x, out_data * (g - inner), fresh=True)
 
     return _record(out_data, (x,), backward)
 
@@ -433,15 +429,23 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int, order=None) -> Tensor:
-    """Join along ``axis``; ``order``, a permutation of the joined entries
-    along it, then picks them in that order (its gradient is copied back,
-    never added)."""
+    """Join along ``axis``, broadcasting every other axis as numpy does;
+    ``order``, a permutation of the joined entries along it, then picks them
+    in that order (its gradient is copied back, never added)."""
     if not tensors:
         raise ContractError("concat needs at least one tensor")
-    _check_axis(tensors[0], axis, "concat")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
-    lead = (slice(None),) * (axis % out_data.ndim)  # the axes before ``axis``
+    widest = max(tensors, key=attrgetter("ndim"))
+    _check_axis(widest, axis, "concat")
+    axis %= widest.ndim
+    lead = (slice(None),) * axis  # the axes before ``axis``
+    shapes = [(1,) * (widest.ndim - t.ndim) + t.shape for t in tensors]
+    offsets = list(itertools.accumulate((s[axis] for s in shapes), initial=0))
+    out_data = np.empty([offsets[-1] if i == axis else max(n) for i, n in enumerate(zip(*shapes))])
+    try:
+        for t, start, stop in zip(tensors, offsets, offsets[1:]):
+            out_data[lead + (slice(start, stop),)] = t.data  # broadcast into its slice
+    except ValueError:
+        raise ContractError(f"concat expects shapes that broadcast off axis {axis}, got {[t.shape for t in tensors]}") from None
     if order is not None:
         order = np.asarray(order, dtype=np.int64)
         if not np.array_equal(np.sort(order), np.arange(offsets[-1])):
@@ -453,7 +457,7 @@ def concat(tensors: list[Tensor], axis: int, order=None) -> Tensor:
             joined = np.empty_like(g)
             joined[lead + (order,)] = g
             g = joined
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+        for t, start, stop in zip(tensors, offsets, offsets[1:]):
             _accumulate(t, g[lead + (slice(start, stop),)])
 
     return _record(out_data, tuple(tensors), backward)
@@ -470,7 +474,7 @@ def slice_range(x: Tensor, start: int, stop: int, axis: int) -> Tensor:
     def backward(g):
         z = np.zeros_like(x.data)
         z[index] = g
-        _accumulate(x, z)
+        _accumulate(x, z, fresh=True)
 
     return _record(x.data[index].copy(), (x,), backward)
 
@@ -494,20 +498,9 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     def backward(g):
         z = np.zeros_like(flat)
         np.add.at(z, where, g.reshape(z.shape[:1] + idx.shape[-1:] + z.shape[2:]))
-        _accumulate(x, z.reshape(x.shape))
+        _accumulate(x, z.reshape(x.shape), fresh=True)
 
     return _record(flat[where].reshape(idx.shape + x.shape[len(batch) + 1 :]), (x,), backward)
-
-
-def broadcast_rows(v: Tensor, n: int) -> Tensor:
-    """Tile a length-d vector (or each of a stack) into n rows of a matrix."""
-    if v.ndim < 1 or n < 0:
-        raise ContractError(f"broadcast_rows expects a vector or a stack of them and a row count, got {v.shape} and {n}")
-
-    def backward(g):
-        _accumulate(v, np.add.reduce(g, axis=-2))
-
-    return _record(np.repeat(v.data[..., None, :], n, axis=-2), (v,), backward)
 
 
 # ---------------------------------------------------------------------------

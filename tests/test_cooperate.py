@@ -128,8 +128,9 @@ def test_shared_gradient_is_sum_of_call_site_gradients():
 
 def test_decoder_span_count_and_bounds():
     params = _params(seed=8)
-    z_hat = _joint(seed=8, L=6)
-    spans = C.decode_spans(*C.moment_decoder(z_hat, params, HEADS, K), duration=32.0)
+    z_hat = T.reshape(_joint(seed=8, L=6), (1, 6, D))
+    cw, scores = C.moment_decoder(z_hat, params, HEADS, K)
+    spans = C.decode_spans(Tensor(cw.data[0]), Tensor(scores.data[0]), duration=32.0)
     assert len(spans) == M
     for start, end, score in spans:
         assert 0.0 <= start < end <= 32.0
@@ -144,13 +145,13 @@ def test_decode_spans_arithmetic():
 
 def test_decoder_query_permutation_permutes_spans():
     params = _params(seed=9)
-    z_hat = _joint(seed=9, L=5)
+    z_hat = T.reshape(_joint(seed=9, L=5), (1, 5, D))
     base_cw, base_scores = C.moment_decoder(z_hat, params, HEADS, K)
     perm = np.array([2, 0, 1])
     params["decoder.queries"].data[...] = params["decoder.queries"].data[perm]
     cw, scores = C.moment_decoder(z_hat, params, HEADS, K)
-    assert np.allclose(cw.data, base_cw.data[perm], atol=1e-12)
-    assert np.allclose(scores.data, base_scores.data[perm], atol=1e-12)
+    assert np.allclose(cw.data, base_cw.data[:, perm], atol=1e-12)
+    assert np.allclose(scores.data, base_scores.data[:, perm], atol=1e-12)
 
 
 def test_gru_zero_everything_gives_zero():

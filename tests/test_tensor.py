@@ -59,7 +59,7 @@ def test_item_requires_single_element():
         lambda: T.slice_range(Tensor(np.ones((4, 2))), 3, 3, axis=0),
         lambda: T.slice_range(Tensor(np.ones((4, 2))), 0, 5, axis=1),
         lambda: T.gather_rows(Tensor(np.ones((4, 2))), [0, 4]),
-        lambda: T.broadcast_rows(Tensor(np.ones((2, 2))), -1),
+        lambda: T.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 1)))], axis=1),
         lambda: T.softmax(Tensor(np.ones((2, 2))), axis=2),
         lambda: T.reshape(Tensor(np.ones((2, 3))), (4, 2)),
         lambda: T.concat([], axis=0),
@@ -189,13 +189,13 @@ def test_layer_norm_affine_params_receive_grads():
 def _zeros_then_add(t, g, fresh=False):
     """Gradient accumulation as a zero buffer plus every contribution: the
     reference the copy-on-first-contribution engine must equal, whether or
-    not a closure hands over its own buffer. A one-sample graph hands a
-    parameter a stack of one contribution."""
+    not a closure hands over its own buffer. Each contribution is first
+    summed back to the tensor's shape, as the engine sums it."""
     if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g.reshape(t.shape)
+    t.grad += T._unbroadcast(g, t.shape)
 
 
 def _tiny_batch_backward():
